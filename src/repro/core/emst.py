@@ -20,7 +20,7 @@ from pyspark.sql import SparkSession
 from ..geometry import kdtree as kdt
 from ..geometry.delaunay import delaunay_edges
 from ..graph import kruskal
-from .gfk import GfkStats, gfk_mst
+from .gfk import GfkStats, compute_bccps, gfk_mst
 from .memogfk import memogfk_mst
 from .wspd import wspd
 
@@ -42,21 +42,10 @@ def emst_naive(
     tree = kdt.build(points, leaf_size=1)
     pairs = wspd(tree, "s2", max_pairs=max_pairs)
     stats = GfkStats(rounds=1, pairs_materialized=int(pairs.shape[0]))
-    stats.bccp_computed = int(pairs.shape[0])
-    sz = tree.hi - tree.lo
-    stats.bccp_work_cells = int((sz[pairs[:, 0]] * sz[pairs[:, 1]]).sum())
     ctx = _spark_ctx(spark, tree)
+    edges = compute_bccps(tree, pairs, False, stats, ctx)
     if ctx is not None:
-        results = ctx.bccp_many([(int(a), int(b)) for a, b in pairs], star=False)
-        edges = np.asarray([e for _, e in results], dtype=np.float64)
         ctx.unpersist()
-    else:
-        from . import bccp as bccp_mod
-
-        edges = np.asarray(
-            [bccp_mod.bccp(tree, int(a), int(b)) for a, b in pairs],
-            dtype=np.float64,
-        ).reshape(-1, 3)
     mst = kruskal.mst(
         tree.n,
         edges[:, 0].astype(np.int64),
@@ -106,6 +95,8 @@ def emst_delaunay(
     pts = np.asarray(points, dtype=np.float64)
     if pts.shape[1] != 2:
         raise ValueError("EMST-Delaunay is 2D only")
+    if not np.isfinite(pts).all():
+        raise ValueError("points must be finite (no NaN or inf)")
     de = delaunay_edges(pts)
     stats = GfkStats(rounds=1, pairs_materialized=int(de.shape[0]))
     if spark is not None:

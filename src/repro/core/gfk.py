@@ -13,8 +13,9 @@ Round structure (exactly the paper's):
 6. beta *= 2 (doubling => O(log n) rounds; the paper's depth argument).
 
 ``spark_ctx`` (a ``repro.engine.distribute.SparkBccp``) switches the
-BCCP batch of step 3 from a driver loop to a Spark ``mapInPandas``
-fan-out — the "48 cores" configuration of Tables 2/4/5.
+BCCP batch of step 3 from one driver-side ``bccp_batch`` call to a
+Spark ``mapInPandas`` fan-out — the "48 cores" configuration of
+Tables 2/4/5.
 """
 from __future__ import annotations
 
@@ -64,35 +65,23 @@ def mono_labels(tree: KDTree, uf: UnionFind) -> np.ndarray:
     return np.where(n_changes == 0, lab[lo], -1)
 
 
-def _compute_bccps(
+def compute_bccps(
     tree: KDTree,
     pairs: np.ndarray,
-    cache: dict[tuple[int, int], tuple[int, int, float]],
     star: bool,
     stats: GfkStats,
     spark_ctx=None,
 ) -> np.ndarray:
-    """Fill ``cache`` for every pair lacking an entry; return the (k, 3)
-    [u, v, w] edge array for ``pairs`` in order."""
-    missing = [
-        (int(a), int(b)) for a, b in pairs if (int(a), int(b)) not in cache
-    ]
-    if missing:
-        stats.bccp_computed += len(missing)
-        sz = (tree.hi - tree.lo).astype(np.int64)
-        for a, b in missing:
-            stats.bccp_work_cells += int(sz[a]) * int(sz[b])
-        if spark_ctx is not None:
-            for (a, b), edge in spark_ctx.bccp_many(missing, star=star):
-                cache[(a, b)] = edge
-        else:
-            fn = bccp_mod.bccp_star if star else bccp_mod.bccp
-            for a, b in missing:
-                cache[(a, b)] = fn(tree, a, b)
-    out = np.empty((pairs.shape[0], 3))
-    for i, (a, b) in enumerate(pairs):
-        out[i] = cache[(int(a), int(b))]
-    return out
+    """The (k, 3) [u, v, w] BCCP (or BCCP*) edges of the node pairs
+    ``pairs`` (k, 2), counted into ``stats``: one ``bccp_batch`` call, or
+    one Spark fan-out. The BCCP fill of every GFK/MemoGFK round and of
+    EMST-Naive."""
+    sz = tree.hi - tree.lo
+    stats.bccp_computed += int(pairs.shape[0])
+    stats.bccp_work_cells += int((sz[pairs[:, 0]] * sz[pairs[:, 1]]).sum())
+    if spark_ctx is not None:
+        return spark_ctx.bccp_many(pairs, star=star)
+    return bccp_mod.bccp_batch(tree, pairs[:, 0], pairs[:, 1], star)
 
 
 def gfk_mst(
@@ -110,7 +99,8 @@ def gfk_mst(
     n = tree.n
     uf = UnionFind(n)
     out_edges: list[tuple[int, int, float]] = []
-    cache: dict[tuple[int, int], tuple[int, int, float]] = {}
+    # Per-pair BCCP cache, by position in ``pairs``; NaN: not computed yet.
+    edges = np.full((pairs.shape[0], 3), np.nan)
     stats = GfkStats(pairs_materialized=int(pairs.shape[0]))
 
     card = pair_point_count(tree, pairs)
@@ -130,7 +120,10 @@ def gfk_mst(
         s_l = active[in_l]
         s_u = active[~in_l]
         rho_hi = float(lbs[s_u].min()) if s_u.size else np.inf
-        edges_l = _compute_bccps(tree, pairs[s_l], cache, star, stats, spark_ctx)
+        todo = s_l[np.isnan(edges[s_l, 2])]
+        if todo.size:
+            edges[todo] = compute_bccps(tree, pairs[todo], star, stats, spark_ctx)
+        edges_l = edges[s_l]
         take = edges_l[:, 2] <= rho_hi
         batch = edges_l[take]
         if batch.size:

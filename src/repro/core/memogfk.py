@@ -31,8 +31,7 @@ import numpy as np
 from ..geometry.kdtree import KDTree
 from ..graph.kruskal import kruskal_batch
 from ..graph.unionfind import UnionFind
-from . import bccp as bccp_mod
-from .gfk import GfkStats, mono_labels
+from .gfk import GfkStats, compute_bccps, mono_labels
 from .wspd import (
     root_seeds,
     split_frontier,
@@ -40,6 +39,37 @@ from .wspd import (
     v_gap_max,
     v_well_separated,
 )
+
+
+class BccpCache:
+    """BCCP edges computed in earlier rounds, keyed by node pair
+    a * n_nodes + b and kept sorted by key, so a round looks up its
+    whole candidate batch with one ``searchsorted``."""
+
+    def __init__(self, n_nodes: int):
+        self.n_nodes = n_nodes
+        self.keys = np.empty(0, dtype=np.int64)
+        self.edges = np.empty((0, 3))
+
+    def edges_of(
+        self, tree: KDTree, pairs: np.ndarray, star: bool, stats: GfkStats, spark_ctx
+    ) -> np.ndarray:
+        """(k, 3) [u, v, w] edges of ``pairs`` (k, 2); computes and
+        stores the ones not cached yet."""
+        keys = pairs[:, 0] * self.n_nodes + pairs[:, 1]
+        pos = np.searchsorted(self.keys, keys)
+        hit = pos < self.keys.size
+        hit[hit] = self.keys[pos[hit]] == keys[hit]
+        out = np.empty((keys.size, 3))
+        out[hit] = self.edges[pos[hit]]
+        miss = np.flatnonzero(~hit)
+        if miss.size:
+            out[miss] = compute_bccps(tree, pairs[miss], star, stats, spark_ctx)
+            order = np.argsort(keys[miss])
+            at = pos[miss][order]
+            self.keys = np.insert(self.keys, at, keys[miss][order])
+            self.edges = np.insert(self.edges, at, out[miss][order], axis=0)
+        return out
 
 
 def _v_bounds(
@@ -103,7 +133,7 @@ def get_pairs(
     mono: np.ndarray,
     kind: str | float,
     star: bool,
-    cache: dict[tuple[int, int], tuple[int, int, float]],
+    cache: BccpCache,
     stats: GfkStats,
     spark_ctx=None,
 ) -> np.ndarray:
@@ -113,7 +143,8 @@ def get_pairs(
     Prunes (Figure 3b): d_max(A,B) < rho_lo (descendants' BCCPs below
     range), lb >= rho_hi (descendants' BCCPs above range), or A, B
     already in one component. Well-separated survivors get their BCCP
-    computed (driver loop, or one Spark fan-out) and cached; only
+    computed (one ``bccp_batch`` call, or one Spark fan-out) and
+    cached; only
     in-range ones are materialized as edges.
     """
     candidates: list[np.ndarray] = []
@@ -139,28 +170,8 @@ def get_pairs(
     cand = np.concatenate(candidates, axis=0)
     stats.pairs_materialized = max(stats.pairs_materialized, cand.shape[0])
 
-    missing = [
-        (int(a), int(b)) for a, b in cand if (int(a), int(b)) not in cache
-    ]
-    if missing:
-        stats.bccp_computed += len(missing)
-        sz = tree.hi - tree.lo
-        for a, b in missing:
-            stats.bccp_work_cells += int(sz[a]) * int(sz[b])
-        if spark_ctx is not None:
-            for (a, b), edge in spark_ctx.bccp_many(missing, star=star):
-                cache[(a, b)] = edge
-        else:
-            fn = bccp_mod.bccp_star if star else bccp_mod.bccp
-            for a, b in missing:
-                cache[(a, b)] = fn(tree, a, b)
-
-    rows = [
-        cache[(int(a), int(b))]
-        for a, b in cand
-        if rho_lo <= cache[(int(a), int(b))][2] < rho_hi
-    ]
-    return np.asarray(rows, dtype=np.float64).reshape(-1, 3)
+    edges = cache.edges_of(tree, cand, star, stats, spark_ctx)
+    return edges[(rho_lo <= edges[:, 2]) & (edges[:, 2] < rho_hi)]
 
 
 def memogfk_mst(
@@ -179,7 +190,7 @@ def memogfk_mst(
     n = tree.n
     uf = UnionFind(n)
     out_edges: list[tuple[int, int, float]] = []
-    cache: dict[tuple[int, int], tuple[int, int, float]] = {}
+    cache = BccpCache(tree.n_nodes)
     stats = GfkStats()
     beta = 2
     rho_lo = 0.0

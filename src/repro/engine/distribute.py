@@ -26,7 +26,7 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 
-from ..core.bccp import bccp_kernel, bccp_star_kernel
+from ..core.bccp import bccp_batch
 from ..geometry.kdtree import KDTree
 
 # Below this many distance-matrix cells a fan-out costs more than it
@@ -37,7 +37,7 @@ _MIN_PARALLEL_CELLS = 100_000
 class SparkBccp:
     """Distributes BCCP / BCCP* batches for GFK and MemoGFK rounds.
 
-    Construct once per MST run (one broadcast of the tree state), then
+    Construct once per MST run (one broadcast of the kd-tree), then
     ``bccp_many`` is called every round with that round's missing pairs.
     """
 
@@ -45,46 +45,32 @@ class SparkBccp:
         self.spark = spark
         self.tree = tree
         self.n_parts = n_parts or spark.sparkContext.defaultParallelism
-        self._bc = spark.sparkContext.broadcast(
-            {
-                "pts": tree.pts,
-                "perm": tree.perm,
-                "lo": tree.lo,
-                "hi": tree.hi,
-                "cd": tree.cd,
-            }
-        )
+        self._bc = spark.sparkContext.broadcast(tree)
 
     def unpersist(self) -> None:
         self._bc.unpersist()
 
-    def _local(self, pairs: list[tuple[int, int]], star: bool):
-        from ..core import bccp as bccp_mod
+    def bccp_many(self, pairs: np.ndarray, star: bool = False) -> np.ndarray:
+        """BCCP (or BCCP*) of each (node_a, node_b) row of ``pairs``.
 
-        fn = bccp_mod.bccp_star if star else bccp_mod.bccp
-        return [((a, b), fn(self.tree, a, b)) for a, b in pairs]
-
-    def bccp_many(
-        self, pairs: list[tuple[int, int]], star: bool = False
-    ) -> list[tuple[tuple[int, int], tuple[int, int, float]]]:
-        """Compute BCCP (or BCCP*) for each (node_a, node_b) pair.
-
-        Returns [((a, b), (u, v, w)), ...] with u, v in original ids.
+        Returns the (k, 3) [u, v, w] edges in the order of ``pairs``,
+        u, v in original ids. Executors run ``bccp_batch`` on their
+        share of the pairs, exactly as the driver would.
         """
-        if not pairs:
-            return []
+        pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
         t = self.tree
         sz = t.hi - t.lo
-        cells = np.array([int(sz[a]) * int(sz[b]) for a, b in pairs], dtype=np.int64)
+        cells = sz[pairs[:, 0]] * sz[pairs[:, 1]]
         if int(cells.sum()) < _MIN_PARALLEL_CELLS:
-            return self._local(pairs, star)
+            return bccp_batch(t, pairs[:, 0], pairs[:, 1], star)
 
         # Balance: largest pairs first, round-robin over partitions.
         order = np.argsort(-cells, kind="stable")
         pdf = pd.DataFrame(
             {
-                "a": [pairs[i][0] for i in order],
-                "b": [pairs[i][1] for i in order],
+                "k": order,
+                "a": pairs[order, 0],
+                "b": pairs[order, 1],
                 "part": np.arange(order.size, dtype=np.int64) % self.n_parts,
             }
         )
@@ -92,37 +78,29 @@ class SparkBccp:
         use_star = bool(star)
 
         def compute(batches):
-            data = bc.value
-            pts, perm, los, his = data["pts"], data["perm"], data["lo"], data["hi"]
-            cd = data["cd"]
+            tree = bc.value
             for b_pdf in batches:
-                out = {"a": [], "b": [], "u": [], "v": [], "w": []}
-                for a, b in zip(b_pdf["a"].to_numpy(), b_pdf["b"].to_numpy()):
-                    alo, ahi = int(los[a]), int(his[a])
-                    blo, bhi = int(los[b]), int(his[b])
-                    if use_star:
-                        i, j, w = bccp_star_kernel(
-                            pts[alo:ahi], pts[blo:bhi], cd[alo:ahi], cd[blo:bhi]
-                        )
-                    else:
-                        i, j, w = bccp_kernel(pts[alo:ahi], pts[blo:bhi])
-                    out["a"].append(int(a))
-                    out["b"].append(int(b))
-                    out["u"].append(int(perm[alo + i]))
-                    out["v"].append(int(perm[blo + j]))
-                    out["w"].append(float(w))
-                yield pd.DataFrame(out)
+                e = bccp_batch(
+                    tree, b_pdf["a"].to_numpy(), b_pdf["b"].to_numpy(), use_star
+                )
+                yield pd.DataFrame(
+                    {
+                        "k": b_pdf["k"].to_numpy(),
+                        "u": e[:, 0].astype(np.int64),
+                        "v": e[:, 1].astype(np.int64),
+                        "w": e[:, 2],
+                    }
+                )
 
         df = self.spark.createDataFrame(pdf)
         res = (
             df.repartition(self.n_parts, "part")
-            .mapInPandas(compute, schema="a long, b long, u long, v long, w double")
+            .mapInPandas(compute, schema="k long, u long, v long, w double")
             .toPandas()
         )
-        return [
-            ((int(r.a), int(r.b)), (int(r.u), int(r.v), float(r.w)))
-            for r in res.itertuples()
-        ]
+        out = np.empty((pairs.shape[0], 3))
+        out[res["k"].to_numpy()] = res[["u", "v", "w"]].to_numpy(dtype=np.float64)
+        return out
 
 
 def core_distances_spark(

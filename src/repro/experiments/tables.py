@@ -10,7 +10,7 @@ EXPERIMENTS.md can diff paper vs. measured numbers side by side.
 as Spark jobs on this machine's local[*] session (16 cores) — see
 DESIGN.md §3 for the mapping. '-' cells mean the method is not
 applicable (Delaunay beyond 2D) or blew the WSPD pair budget
-(REPRO_MAX_PAIRS, default 2M), the analogue of the paper's
+(REPRO_MAX_PAIRS, default 1.5M), the analogue of the paper's
 out-of-memory cells.
 """
 from __future__ import annotations

@@ -137,6 +137,8 @@ def build(points: np.ndarray, leaf_size: int = 1) -> KDTree:
     n = pts.shape[0]
     if n == 0:
         raise ValueError("empty point set")
+    if not np.isfinite(pts).all():
+        raise ValueError("points must be finite (no NaN or inf)")
     perm = np.arange(n, dtype=np.int64)
 
     left: list[int] = []

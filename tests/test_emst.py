@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro import synth_data as sd
+from repro.core import bccp as bccp_mod
 from repro.core.emst import emst_delaunay, emst_gfk, emst_memogfk, emst_naive
 from repro.graph.boruvka import emst_boruvka
 from repro.graph.prim import mst_bruteforce
@@ -109,3 +110,29 @@ def test_emst_with_duplicates():
 def test_delaunay_rejects_non_2d():
     with pytest.raises(ValueError):
         emst_delaunay(np.zeros((10, 3)))
+
+
+@pytest.mark.parametrize("small_cells", [None, 0], ids=["batched", "matmul"])
+@pytest.mark.parametrize("name", ["naive", "gfk", "memogfk"])
+def test_emst_survives_large_translation(monkeypatch, name, small_cells):
+    """Far from the origin the expanded |p|^2 + |q|^2 - 2 p.q form loses
+    every cross distance to cancellation; the MST weight must not move,
+    also with every pair sent through the matmul kernels."""
+    if small_cells is not None:
+        monkeypatch.setattr(bccp_mod, "_SMALL_CELLS", small_cells)
+    pts = np.random.default_rng(0).random((300, 2))
+    ref = mst_bruteforce(pts)[:, 2].sum()
+    edges = METHODS[name](pts + 1e9)
+    assert np.isclose(edges[:, 2].sum(), ref, rtol=1e-6, atol=0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "method", ["naive", "gfk", "memogfk", "boruvka", "delaunay"]
+)
+def test_emst_rejects_non_finite_points(method, bad):
+    pts = np.random.default_rng(1).random((50, 2))
+    pts[17, 1] = bad
+    fn = METHODS.get(method, lambda p: emst_delaunay(p)[0])
+    with pytest.raises(ValueError, match="finite"):
+        fn(pts)

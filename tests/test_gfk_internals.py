@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.bccp import bccp, bccp_star
 from repro.core.gfk import GfkStats, mono_labels
-from repro.core.memogfk import get_pairs, get_rho
+from repro.core.memogfk import BccpCache, get_pairs, get_rho
 from repro.core.wspd import wspd
 from repro.geometry import kdtree as kdt
 from repro.graph.unionfind import UnionFind
@@ -74,7 +74,7 @@ def test_get_pairs_returns_exactly_in_range_edges(lo_q, hi_q):
     rho_hi = float(np.quantile(all_w, min(hi_q, 1.0))) if hi_q <= 1 else np.inf
     expect = np.sort(all_w[keep & (all_w >= rho_lo) & (all_w < rho_hi)])
     got = get_pairs(
-        t, rho_lo, rho_hi, mono, "s2", False, {}, GfkStats(), None
+        t, rho_lo, rho_hi, mono, "s2", False, BccpCache(t.n_nodes), GfkStats(), None
     )
     assert np.allclose(np.sort(got[:, 2]), expect)
 

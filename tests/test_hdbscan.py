@@ -147,3 +147,12 @@ def test_stats_pair_savings_memogfk_vs_gantao():
     _, _, s_new = hdbscan_mst(pts, 10, method="memogfk")
     _, _, s_std = hdbscan_mst(pts, 10, method="gantao")
     assert s_new.bccp_computed <= s_std.bccp_computed
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("method", ["memogfk", "gantao"])
+def test_hdbscan_rejects_non_finite_points(method, bad):
+    pts = sd.uniform_fill(80, 3, seed=2)
+    pts[5, 0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        hdbscan_mst(pts, 5, method=method)

@@ -94,6 +94,14 @@ def test_duplicate_points_build():
     assert np.allclose(t.radius, 0.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_build_rejects_non_finite_points(bad):
+    pts = _pts(30, 2)
+    pts[3, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        kdt.build(pts)
+
+
 def test_leaf_size_respected():
     pts = _pts(300, 3, seed=9)
     t = kdt.build(pts, leaf_size=16)

@@ -65,3 +65,10 @@ def test_larger_s_means_more_pairs_than_exact():
     cd = core_distances(pts, 10)
     tree = build_hdbscan_tree(pts, cd)
     assert wspd(tree, 8.0).shape[0] > 3 * wspd(tree, "s2").shape[0]
+
+
+def test_optics_rejects_non_finite_points():
+    pts = sd.uniform_fill(80, 2, seed=4)
+    pts[9, 0] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        optics_approx_mst(pts, 5)

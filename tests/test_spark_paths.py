@@ -63,15 +63,15 @@ def test_spark_bccp_many_matches_local(spark, midsize):
     cd = cd_seq(midsize, 10)
     tree = kdt.build(midsize, leaf_size=1)
     kdt.attach_core_distances(tree, cd)
-    pairs = [tuple(map(int, p)) for p in wspd(tree, "s2")[:3000]]
+    pairs = wspd(tree, "s2")[:3000]
     ctx = SparkBccp(spark, tree)
     try:
         for star in (False, True):
-            got = dict(ctx.bccp_many(pairs, star=star))
+            got = ctx.bccp_many(pairs, star=star)
             fn = bccp_mod.bccp_star if star else bccp_mod.bccp
-            for p in pairs[:: max(1, len(pairs) // 200)]:
-                u, v, w = fn(tree, *p)
-                gu, gv, gw = got[p]
+            for k in range(0, len(pairs), max(1, len(pairs) // 200)):
+                u, v, w = fn(tree, *map(int, pairs[k]))
+                gu, gv, gw = got[k]
                 assert np.isclose(gw, w)
     finally:
         ctx.unpersist()
@@ -102,10 +102,10 @@ def test_spark_bccp_small_batch_runs_on_driver(spark, midsize):
         pairs = [
             (int(tree.left[v]), int(tree.right[v])) for v in internal[:5]
         ]
-        got = dict(ctx.bccp_many(pairs))
+        got = ctx.bccp_many(pairs)
         from repro.core.bccp import bccp
 
-        for p in pairs:
-            assert np.isclose(got[p][2], bccp(tree, *p)[2])
+        for k, p in enumerate(pairs):
+            assert np.isclose(got[k, 2], bccp(tree, *p)[2])
     finally:
         ctx.unpersist()
