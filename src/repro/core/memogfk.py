@@ -144,8 +144,7 @@ def get_pairs(
     range), lb >= rho_hi (descendants' BCCPs above range), or A, B
     already in one component. Well-separated survivors get their BCCP
     computed (one ``bccp_batch`` call, or one Spark fan-out) and
-    cached; only
-    in-range ones are materialized as edges.
+    cached; only in-range ones are materialized as edges.
     """
     candidates: list[np.ndarray] = []
     A, B = _seeds(tree, mono)
