@@ -23,7 +23,8 @@ def main() -> None:
     from repro.graph.boruvka import emst_boruvka
 
     pts = datasets.load(args.dataset)
-    spark = None if args.sequential or args.algo == "boruvka" else get_spark("emst")
+    sequential_only = ("boruvka", "delaunay")
+    spark = None if args.sequential or args.algo in sequential_only else get_spark("emst")
     if args.algo == "boruvka":
         edges = emst_boruvka(pts)
     else:
@@ -33,7 +34,7 @@ def main() -> None:
             "memogfk": emst_mod.emst_memogfk,
             "delaunay": emst_mod.emst_delaunay,
         }[args.algo]
-        edges, stats = fn(pts, spark=spark)
+        edges, stats = fn(pts) if spark is None else fn(pts, spark=spark)
         print(f"pairs={stats.pairs_materialized} bccp={stats.bccp_computed}")
     print(
         f"{args.dataset}: n={pts.shape[0]} edges={edges.shape[0]} "

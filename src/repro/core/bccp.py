@@ -37,9 +37,16 @@ def _dist(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->i", d, d))
 
 
-def bccp_kernel(P: np.ndarray, Q: np.ndarray) -> tuple[int, int, float]:
-    """Closest cross pair between point blocks P (a, d) and Q (b, d).
-    Returns (i, j, dist) with i indexing P and j indexing Q.
+def bccp_kernel(
+    P: np.ndarray,
+    Q: np.ndarray,
+    cdP: np.ndarray | None = None,
+    cdQ: np.ndarray | None = None,
+) -> tuple[int, int, float]:
+    """Closest cross pair between point blocks P (a, d) and Q (b, d);
+    BCCP* under mutual reachability distance when the blocks' core
+    distances cdP, cdQ are given. Returns (i, j, w) with i indexing P
+    and j indexing Q.
 
     The squared-distance matrix uses the fast expanded (matmul) form on
     coordinates relative to P[0], so far-from-origin inputs do not lose
@@ -53,68 +60,48 @@ def bccp_kernel(P: np.ndarray, Q: np.ndarray) -> tuple[int, int, float]:
     best = (0, 0, np.inf)
     for lo in range(0, P.shape[0], rows):
         blk = Ps[lo : lo + rows]
-        d2 = (
+        key = (
             np.einsum("id,id->i", blk, blk)[:, None]
             + np.einsum("jd,jd->j", Qs, Qs)[None, :]
             - 2.0 * (blk @ Qs.T)
         )
-        i, j = divmod(int(np.argmin(d2)), Q.shape[0])
-        dist = float(_dist(P[lo + i, None], Q[j, None])[0])
-        if dist < best[2]:
-            best = (lo + i, j, dist)
+        if cdP is not None:
+            key = np.maximum(
+                np.sqrt(np.maximum(key, 0.0)),
+                np.maximum(cdP[lo : lo + rows, None], cdQ[None, :]),
+            )
+        i, j = divmod(int(np.argmin(key)), Q.shape[0])
+        i += lo
+        w = float(_dist(P[i, None], Q[j, None])[0])
+        if cdP is not None:
+            w = max(w, float(cdP[i]), float(cdQ[j]))
+        if w < best[2]:
+            best = (i, j, w)
     return best
 
 
-def bccp_star_kernel(
-    P: np.ndarray, Q: np.ndarray, cdP: np.ndarray, cdQ: np.ndarray
+def _tree_bccp(
+    tree: KDTree, a: int, b: int, cd: np.ndarray | None
 ) -> tuple[int, int, float]:
-    """BCCP under mutual reachability distance. Returns (i, j, d_m).
-    Shifted to P[0] like ``bccp_kernel``."""
-    Ps, Qs = P - P[0], Q - P[0]
-    rows = max(1, _CHUNK_CELLS // max(1, Q.shape[0]))
-    best = (0, 0, np.inf)
-    for lo in range(0, P.shape[0], rows):
-        blk = Ps[lo : lo + rows]
-        d2 = (
-            np.einsum("id,id->i", blk, blk)[:, None]
-            + np.einsum("jd,jd->j", Qs, Qs)[None, :]
-            - 2.0 * (blk @ Qs.T)
-        )
-        d = np.sqrt(np.maximum(d2, 0.0))
-        dm = np.maximum(d, np.maximum(cdP[lo : lo + rows, None], cdQ[None, :]))
-        i, j = divmod(int(np.argmin(dm)), Q.shape[0])
-        # Recompute the winner's Euclidean leg exactly (see bccp_kernel).
-        exact = max(
-            float(_dist(P[lo + i, None], Q[j, None])[0]),
-            float(cdP[lo + i]),
-            float(cdQ[j]),
-        )
-        if exact < best[2]:
-            best = (lo + i, j, exact)
-    return best
+    """``bccp_kernel`` on the point ranges of nodes a and b (BCCP* when
+    the reordered core distances ``cd`` are given), in original ids."""
+    A = slice(int(tree.lo[a]), int(tree.hi[a]))
+    B = slice(int(tree.lo[b]), int(tree.hi[b]))
+    cds = () if cd is None else (cd[A], cd[B])
+    i, j, w = bccp_kernel(tree.pts[A], tree.pts[B], *cds)
+    return int(tree.perm[A.start + i]), int(tree.perm[B.start + j]), w
 
 
 def bccp(tree: KDTree, a: int, b: int) -> tuple[int, int, float]:
     """BCCP between tree nodes a and b, in original point ids."""
-    alo, ahi = int(tree.lo[a]), int(tree.hi[a])
-    blo, bhi = int(tree.lo[b]), int(tree.hi[b])
-    i, j, d = bccp_kernel(tree.pts[alo:ahi], tree.pts[blo:bhi])
-    return int(tree.perm[alo + i]), int(tree.perm[blo + j]), d
+    return _tree_bccp(tree, a, b, None)
 
 
 def bccp_star(tree: KDTree, a: int, b: int) -> tuple[int, int, float]:
     """BCCP* between tree nodes a and b, in original point ids.
     Requires ``attach_core_distances``."""
     assert tree.cd is not None
-    alo, ahi = int(tree.lo[a]), int(tree.hi[a])
-    blo, bhi = int(tree.lo[b]), int(tree.hi[b])
-    i, j, d = bccp_star_kernel(
-        tree.pts[alo:ahi],
-        tree.pts[blo:bhi],
-        tree.cd[alo:ahi],
-        tree.cd[blo:bhi],
-    )
-    return int(tree.perm[alo + i]), int(tree.perm[blo + j]), d
+    return _tree_bccp(tree, a, b, tree.cd)
 
 
 def _segmented(

@@ -61,24 +61,6 @@ class Dendrogram:
     weight: np.ndarray  # (n-1,) split heights
     root: int           # ref of the root
 
-    def inorder_leaves(self) -> np.ndarray:
-        """Leaves in in-order — Prim's visit order (Theorem 4.2)."""
-        out = np.empty(self.n, dtype=np.int64)
-        k = 0
-        stack: list[int] = []
-        cur = self.root
-        while stack or not is_leaf(cur) or True:
-            while not is_leaf(cur):
-                stack.append(cur)
-                cur = int(self.left[cur])
-            out[k] = leaf_vertex(cur)
-            k += 1
-            if not stack:
-                break
-            cur = int(self.right[stack.pop()])
-        assert k == self.n
-        return out
-
     def reachability(self) -> tuple[np.ndarray, np.ndarray]:
         """(order, bars): the reachability plot. bars[0] = inf; for
         i > 0, bars[i] is the weight of the internal node between
@@ -132,19 +114,22 @@ def vertex_distances(n: int, edges: np.ndarray, s: int = 0) -> np.ndarray:
 
 
 class _Builder:
-    """Accumulates global internal-node arrays across recursion."""
+    """Accumulates the internal nodes with global ids [base, base + size)
+    across recursion."""
 
-    def __init__(self, n: int):
-        self.left = np.empty(n - 1, dtype=np.int64)
-        self.right = np.empty(n - 1, dtype=np.int64)
-        self.weight = np.empty(n - 1)
-        self.next_id = 0
+    def __init__(self, size: int, base: int = 0):
+        self.left = np.empty(size, dtype=np.int64)
+        self.right = np.empty(size, dtype=np.int64)
+        self.weight = np.empty(size)
+        self.base = base
+        self.next_id = base
 
     def add(self, left: int, right: int, w: float) -> int:
         i = self.next_id
-        self.left[i] = left
-        self.right[i] = right
-        self.weight[i] = w
+        k = i - self.base
+        self.left[k] = left
+        self.right[k] = right
+        self.weight[k] = w
         self.next_id += 1
         return i
 
@@ -232,8 +217,14 @@ def _split_subproblems(
     return he, lights, comp_of_vertex
 
 
-def _solve(edges: np.ndarray, refs: np.ndarray, builder: _Builder) -> int:
-    """Recursive top-down solve; returns the root ref."""
+def _solve(
+    edges: np.ndarray,
+    refs: np.ndarray,
+    builder: _Builder,
+    spark: SparkSession | None = None,
+) -> int:
+    """Recursive top-down solve; returns the root ref. With ``spark``,
+    this level's light subproblems are solved in one Spark fan-out."""
     m = edges.shape[0]
     if m == 0:
         return int(refs[0])
@@ -247,42 +238,73 @@ def _solve(edges: np.ndarray, refs: np.ndarray, builder: _Builder) -> int:
     singles = np.flatnonzero(counts[comp_of_vertex] == 1)
     comp_refs[comp_of_vertex[singles]] = refs[singles]
     # Light subproblems first (their roots become heavy leaves).
-    for sub_local, members in lights:
-        sub_refs = refs[members]
-        root = _solve(sub_local, sub_refs, builder)
+    if spark is None:
+        roots = [_solve(sub, refs[members], builder) for sub, members in lights]
+    else:
+        roots = _solve_remote(spark, lights, refs, builder)
+    for (_, members), root in zip(lights, roots):
         comp_refs[comp_of_vertex[members[0]]] = root
     return _solve(he, comp_refs, builder)
 
 
-def solve_subproblem_kernel(edges: np.ndarray, n_local: int):
-    """Executor-side kernel for Spark-dispatched light subproblems.
+def _solve_remote(
+    spark: SparkSession,
+    lights: list[tuple[np.ndarray, np.ndarray]],
+    refs: np.ndarray,
+    builder: _Builder,
+) -> list[int]:
+    """Solve the light subproblems in executors; returns their roots.
 
-    Solves one subproblem entirely locally (local leaf refs), returning
-    (left, right, weight, root) with *local* encoding: leaves are
-    -(local_vertex+1); internal nodes are local indices. The driver
-    remaps both into the global builder.
+    A subproblem with m edges creates exactly m internal nodes, so each
+    one is handed the id range the driver-side loop would give it. The
+    executors' nodes then carry their final ids and are copied in as
+    slices, bit-identical to solving on the driver.
     """
-    builder = _Builder(n_local)
-    refs = np.array([leaf_ref(i) for i in range(n_local)], dtype=np.int64)
+    from ..engine.distribute import run_payloads_spark
+
+    sizes = [sub.shape[0] for sub, _ in lights]
+    bases = builder.next_id + np.cumsum([0] + sizes)
+    payloads = [
+        pickle.dumps((sub, refs[members], int(base)))
+        for (sub, members), base in zip(lights, bases)
+    ]
+    roots = [0] * len(lights)
+    for k, blob in run_payloads_spark(spark, payloads):
+        left, right, weight, roots[k] = pickle.loads(blob)
+        ids = slice(bases[k] - builder.base, bases[k + 1] - builder.base)
+        builder.left[ids], builder.right[ids], builder.weight[ids] = left, right, weight
+    builder.next_id = int(bases[-1])
+    return roots
+
+
+def solve_subproblem_kernel(edges: np.ndarray, refs: np.ndarray, base: int):
+    """Executor-side kernel for one Spark-dispatched light subproblem:
+    local vertex i stands for the global ref ``refs[i]`` and the m new
+    internal nodes take the global ids [base, base + m). Returns
+    (left, right, weight, root)."""
+    builder = _Builder(edges.shape[0], base)
     root = _solve(edges, refs, builder)
-    nn = builder.next_id
-    return builder.left[:nn], builder.right[:nn], builder.weight[:nn], root
+    return builder.left, builder.right, builder.weight, root
 
 
-def dendrogram_sequential(
-    edges: np.ndarray, s: int = 0
-) -> Dendrogram:
+def _dendrogram(edges: np.ndarray, s: int, solve) -> Dendrogram:
+    """Ordered dendrogram of a spanning tree's (n-1, 3) [u, v, w] edges
+    from start vertex s, built by ``solve(edges5, leaf_refs, builder)``
+    over the (n-1, 5) [u, v, w, vdist_u, vdist_v] rows."""
+    n = edges.shape[0] + 1
+    if not 0 <= s < n:
+        raise ValueError(f"start vertex {s} is outside [0, {n})")
+    vd = vertex_distances(n, edges, s)
+    e5 = np.column_stack([edges[:, :3], vd[edges[:, :2].astype(np.int64)]])
+    builder = _Builder(n - 1)
+    root = solve(e5, leaf_ref(np.arange(n)), builder)
+    return Dendrogram(n, builder.left, builder.right, builder.weight, root)
+
+
+def dendrogram_sequential(edges: np.ndarray, s: int = 0) -> Dendrogram:
     """Bottom-up ordered dendrogram over a spanning tree's (n-1, 3)
     [u, v, w] edges — the sequential baseline of Section 4."""
-    n = edges.shape[0] + 1
-    vd = vertex_distances(n, edges, s)
-    e5 = np.column_stack(
-        [edges[:, 0], edges[:, 1], edges[:, 2], vd[edges[:, 0].astype(np.int64)], vd[edges[:, 1].astype(np.int64)]]
-    )
-    builder = _Builder(n)
-    refs = np.array([leaf_ref(i) for i in range(n)], dtype=np.int64)
-    root = _bottom_up(e5, refs, builder)
-    return Dendrogram(n, builder.left, builder.right, builder.weight, root)
+    return _dendrogram(edges, s, _bottom_up)
 
 
 def dendrogram_topdown(
@@ -291,52 +313,12 @@ def dendrogram_topdown(
     """The paper's top-down divide-and-conquer ordered dendrogram.
 
     With ``spark``, the top level's light-edge subproblems are solved in
-    one Spark fan-out (each by the same kernel, in an executor) and
+    one Spark fan-out (each by the same recursion, in an executor) and
     grafted into the heavy-edge dendrogram computed on the driver.
     """
-    n = edges.shape[0] + 1
-    if n == 1:
-        return Dendrogram(1, *(np.empty(0),) * 3, leaf_ref(0))
-    vd = vertex_distances(n, edges, s)
-    e5 = np.column_stack(
-        [edges[:, 0], edges[:, 1], edges[:, 2], vd[edges[:, 0].astype(np.int64)], vd[edges[:, 1].astype(np.int64)]]
+    return _dendrogram(
+        edges, s, lambda e5, refs, builder: _solve(e5, refs, builder, spark)
     )
-    builder = _Builder(n)
-    refs = np.array([leaf_ref(i) for i in range(n)], dtype=np.int64)
-    if spark is None or edges.shape[0] <= _SEQ_CUTOFF:
-        root = _solve(e5, refs, builder)
-        return Dendrogram(n, builder.left, builder.right, builder.weight, root)
-
-    # Spark path: one level of subproblem finding on the driver, light
-    # subproblems in executors, heavy subproblem recursively on driver.
-    from ..engine.distribute import run_payloads_spark
-
-    he, lights, comp_of_vertex = _split_subproblems(e5)
-    n_comp = int(comp_of_vertex.max()) + 1
-    comp_refs = np.empty(n_comp, dtype=np.int64)
-    counts = np.bincount(comp_of_vertex, minlength=n_comp)
-    singles = np.flatnonzero(counts[comp_of_vertex] == 1)
-    comp_refs[comp_of_vertex[singles]] = refs[singles]
-
-    payloads = [
-        pickle.dumps((sub_local, int(members.size)))
-        for sub_local, members in lights
-    ]
-    results = run_payloads_spark(spark, payloads, "solve_subproblem_kernel")
-    for sub_id, blob in results:
-        sub_local, members = lights[sub_id]
-        l_left, l_right, l_weight, l_root = pickle.loads(blob)
-        base = builder.next_id
-        # Remap local refs: leaves -> global refs of members; internal
-        # -> builder index + base.
-        def remap(r: int) -> int:
-            return int(refs[members[leaf_vertex(r)]]) if is_leaf(r) else int(r) + base
-
-        for i in range(l_left.shape[0]):
-            builder.add(remap(int(l_left[i])), remap(int(l_right[i])), float(l_weight[i]))
-        comp_refs[comp_of_vertex[members[0]]] = remap(int(l_root))
-    root = _solve(he, comp_refs, builder)
-    return Dendrogram(n, builder.left, builder.right, builder.weight, root)
 
 
 def single_linkage_labels(

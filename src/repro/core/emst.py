@@ -6,11 +6,12 @@
 * ``emst_memogfk`` — Algorithm 3 (no WSPD materialization).
 * ``emst_delaunay``— 2D only (Appendix A.1): MST over Delaunay edges.
 
-Each takes an optional SparkSession; when given, the heavy inner loops
-(all-pairs BCCP for naive, per-round BCCP batches for GFK/MemoGFK) run
-as Spark jobs — the "48 cores" configuration. The returned edges are
-(n-1, 3) [u, v, w] rows; ties aside, every implementation returns the
-same MST weight multiset (tests enforce this against a Prim oracle).
+Naive, GFK and MemoGFK take an optional SparkSession; when given, the
+heavy inner loops (all-pairs BCCP for naive, per-round BCCP batches for
+GFK/MemoGFK) run as Spark jobs — the "48 cores" configuration. The
+returned edges are (n-1, 3) [u, v, w] rows; ties aside, every
+implementation returns the same MST weight multiset (tests enforce this
+against a Prim oracle).
 """
 from __future__ import annotations
 
@@ -82,62 +83,20 @@ def emst_memogfk(
     return edges, stats
 
 
-def emst_delaunay(
-    points: np.ndarray, spark: SparkSession | None = None
-) -> tuple[np.ndarray, GfkStats]:
+def emst_delaunay(points: np.ndarray) -> tuple[np.ndarray, GfkStats]:
     """EMST-Delaunay (2D only): Kruskal over Delaunay edges.
 
-    The triangulation itself is the driver-side Bowyer–Watson substrate
+    The triangulation is the driver-side Bowyer–Watson substrate
     (DESIGN.md documents this substitution for PBBS's parallel
-    Delaunay); when a SparkSession is given, the O(n) edge-weighting is
-    done as a DataFrame job so the parallel path is still exercised.
+    Delaunay). It has no Spark path: weighting O(n) edges is too little
+    work to fan out.
     """
-    pts = np.asarray(points, dtype=np.float64)
+    pts = kdt.check_points(points)
     if pts.shape[1] != 2:
         raise ValueError("EMST-Delaunay is 2D only")
-    if not np.isfinite(pts).all():
-        raise ValueError("points must be finite (no NaN or inf)")
     de = delaunay_edges(pts)
     stats = GfkStats(rounds=1, pairs_materialized=int(de.shape[0]))
-    if spark is not None:
-        import pandas as pd
-        from pyspark.sql import functions as F
-
-        edf = spark.createDataFrame(
-            pd.DataFrame({"u": de[:, 0], "v": de[:, 1]})
-        )
-        pdf_pts = spark.createDataFrame(
-            pd.DataFrame(
-                {"id": np.arange(pts.shape[0]), "x": pts[:, 0], "y": pts[:, 1]}
-            )
-        )
-        pu = pdf_pts.select(
-            F.col("id").alias("u"), F.col("x").alias("ux"), F.col("y").alias("uy")
-        )
-        pv = pdf_pts.select(
-            F.col("id").alias("v"), F.col("x").alias("vx"), F.col("y").alias("vy")
-        )
-        joined = (
-            edf.join(pu, "u")
-            .join(pv, "v")
-            .select(
-                "u",
-                "v",
-                F.sqrt(
-                    (F.col("ux") - F.col("vx")) ** 2
-                    + (F.col("uy") - F.col("vy")) ** 2
-                ).alias("w"),
-            )
-        )
-        res = joined.toPandas()
-        us, vs, ws = (
-            res["u"].to_numpy(),
-            res["v"].to_numpy(),
-            res["w"].to_numpy(),
-        )
-    else:
-        diff = pts[de[:, 0]] - pts[de[:, 1]]
-        ws = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-        us, vs = de[:, 0], de[:, 1]
-    mst = kruskal.mst(pts.shape[0], us, vs, ws)
+    diff = pts[de[:, 0]] - pts[de[:, 1]]
+    ws = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    mst = kruskal.mst(pts.shape[0], de[:, 0], de[:, 1], ws)
     return mst, stats

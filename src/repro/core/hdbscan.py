@@ -128,9 +128,5 @@ def dbscan_star_from_mst(
     labels = np.full(n, -1, dtype=np.int64)
     roots = uf.labels()
     # Canonical labels: cluster id = rank of root among core roots.
-    core_roots = np.unique(roots[core])
-    remap = {int(r): i for i, r in enumerate(core_roots)}
-    for i in range(n):
-        if core[i]:
-            labels[i] = remap[int(roots[i])]
+    labels[core] = np.unique(roots[core], return_inverse=True)[1]
     return labels

@@ -64,6 +64,8 @@ def optics_approx_mst(
     corresponding mutual reachability distance, so the MST weight is a
     (1 + rho)-approximation of the exact HDBSCAN* MST weight.
     """
+    if not rho > 0:
+        raise ValueError("rho must be positive")
     s = float(np.sqrt(8.0 / rho))
     pts = np.ascontiguousarray(np.asarray(points, dtype=np.float64))
     n = pts.shape[0]

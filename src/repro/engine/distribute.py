@@ -27,6 +27,7 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 from ..core.bccp import bccp_batch
+from ..core.dendrogram import solve_subproblem_kernel
 from ..geometry.kdtree import KDTree
 
 # Below this many distance-matrix cells a fan-out costs more than it
@@ -121,8 +122,8 @@ def core_distances_spark(
 
     pts = np.ascontiguousarray(np.asarray(points, dtype=np.float64))
     n = pts.shape[0]
-    if min_pts > n:
-        raise ValueError("minPts larger than the point set")
+    if not 1 <= min_pts <= n:
+        raise ValueError("minPts must be between 1 and the number of points")
     tree = kdt.build(pts.copy(), leaf_size=leaf_size)
     par = n_chunks or 4 * spark.sparkContext.defaultParallelism
     if n < 4096:
@@ -157,11 +158,11 @@ def core_distances_spark(
 
 
 def run_payloads_spark(
-    spark: SparkSession, payloads: list[bytes], fn_name: str
+    spark: SparkSession, payloads: list[bytes]
 ) -> list[tuple[int, bytes]]:
-    """Generic pickled-payload fan-out, used for dendrogram light-edge
-    subproblems: each payload is solved in an executor by the named
-    kernel from ``repro.core.dendrogram`` and pickled back.
+    """Dendrogram light-edge subproblem fan-out: each pickled payload
+    is solved in an executor by ``solve_subproblem_kernel`` and pickled
+    back; returns (payload index, result) pairs in arrival order.
     """
     if not payloads:
         return []
@@ -175,16 +176,12 @@ def run_payloads_spark(
             "part": np.arange(order.size, dtype=np.int64) % n_parts,
         }
     )
-    kernel_name = fn_name
 
     def compute(batches):
-        from ..core import dendrogram as dmod
-
-        kernel = getattr(dmod, kernel_name)
         for b_pdf in batches:
             out = {"sub_id": [], "blob": []}
             for sid, blob in zip(b_pdf["sub_id"], b_pdf["blob"]):
-                result = kernel(*pickle.loads(bytes(blob)))
+                result = solve_subproblem_kernel(*pickle.loads(bytes(blob)))
                 out["sub_id"].append(int(sid))
                 out["blob"].append(pickle.dumps(result))
             yield pd.DataFrame(out)

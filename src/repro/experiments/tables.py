@@ -9,9 +9,9 @@ EXPERIMENTS.md can diff paper vs. measured numbers side by side.
 "48 cores" columns = the same algorithms with their parallel loops run
 as Spark jobs on this machine's local[*] session (16 cores) — see
 DESIGN.md §3 for the mapping. '-' cells mean the method is not
-applicable (Delaunay beyond 2D) or blew the WSPD pair budget
-(REPRO_MAX_PAIRS, default 1.5M), the analogue of the paper's
-out-of-memory cells.
+applicable (Delaunay beyond 2D, and in the parallel column, where it
+has no Spark path) or blew the WSPD pair budget (REPRO_MAX_PAIRS,
+default 1.5M), the analogue of the paper's out-of-memory cells.
 """
 from __future__ import annotations
 
@@ -57,7 +57,7 @@ def _run_emst(method: str, pts: np.ndarray, spark: SparkSession | None):
     if method == "EMST-MemoGFK":
         return emst_mod.emst_memogfk(pts, spark=spark)
     if method == "Delaunay":
-        return emst_mod.emst_delaunay(pts, spark=spark)
+        return emst_mod.emst_delaunay(pts)
     raise ValueError(method)
 
 
@@ -93,13 +93,14 @@ def table4(
                 cell.note = "2D only"
                 row[method] = cell
                 continue
+            par = None if method == "Delaunay" else spark
             try:
                 t0 = time.perf_counter()
                 edges, stats = _run_emst(method, pts, None)
                 cell.seq = time.perf_counter() - t0
                 t0 = time.perf_counter()
-                edges_p, _ = _run_emst(method, pts, spark) if spark else (edges, stats)
-                cell.par = time.perf_counter() - t0 if spark else None
+                edges_p, _ = _run_emst(method, pts, par) if par else (edges, stats)
+                cell.par = time.perf_counter() - t0 if par else None
                 w = float(edges[:, 2].sum())
                 cell.stats = {
                     "mst_weight": w,
@@ -111,7 +112,7 @@ def table4(
                     ref_weight = w
                 elif not np.isclose(w, ref_weight):
                     cell.note = f"WEIGHT MISMATCH {w} vs {ref_weight}"
-                if spark and not np.isclose(float(edges_p[:, 2].sum()), w):
+                if par and not np.isclose(float(edges_p[:, 2].sum()), w):
                     cell.note = "PARALLEL WEIGHT MISMATCH"
             except PairBudgetExceeded:
                 cell.note = f"pair budget {MAX_PAIRS}"

@@ -122,6 +122,19 @@ class KDTree:
         return self.perm[self.lo[node] : self.hi[node]]
 
 
+def check_points(points: np.ndarray) -> np.ndarray:
+    """A C-contiguous float64 copy of ``points``; ValueError unless it
+    is a non-empty, finite (n, d) array."""
+    pts = np.array(points, dtype=np.float64, copy=True, order="C")
+    if pts.ndim != 2:
+        raise ValueError("points must be (n, d)")
+    if pts.shape[0] == 0:
+        raise ValueError("empty point set")
+    if not np.isfinite(pts).all():
+        raise ValueError("points must be finite (no NaN or inf)")
+    return pts
+
+
 def build(points: np.ndarray, leaf_size: int = 1) -> KDTree:
     """Build a spatial-median kd-tree over ``points`` (n, d).
 
@@ -131,14 +144,8 @@ def build(points: np.ndarray, leaf_size: int = 1) -> KDTree:
     """
     # Always copy: the build reorders rows in place, and the caller's
     # array must stay in original-id order (edge ids refer to it).
-    pts = np.array(points, dtype=np.float64, copy=True, order="C")
-    if pts.ndim != 2:
-        raise ValueError("points must be (n, d)")
+    pts = check_points(points)
     n = pts.shape[0]
-    if n == 0:
-        raise ValueError("empty point set")
-    if not np.isfinite(pts).all():
-        raise ValueError("points must be finite (no NaN or inf)")
     perm = np.arange(n, dtype=np.int64)
 
     left: list[int] = []

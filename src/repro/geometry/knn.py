@@ -68,8 +68,8 @@ def core_distances(points: np.ndarray, min_pts: int, leaf_size: int = 16) -> np.
     minPts-th nearest neighbor of p, counting p itself."""
     from . import kdtree
 
-    if min_pts > points.shape[0]:
-        raise ValueError("minPts larger than the point set")
+    if not 1 <= min_pts <= points.shape[0]:
+        raise ValueError("minPts must be between 1 and the number of points")
     tree = kdtree.build(points, leaf_size=leaf_size)
     cds = kth_distances(tree, points, min_pts)
     return cds

@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import bccp as bccp_mod
-from repro.core.bccp import (
-    bccp,
-    bccp_batch,
-    bccp_kernel,
-    bccp_star,
-    bccp_star_kernel,
-)
+from repro.core.bccp import bccp, bccp_batch, bccp_kernel, bccp_star
 from repro.core.memogfk import _v_bounds
 from repro.core.wspd import wspd
 from repro.geometry import kdtree as kdt
@@ -44,7 +38,7 @@ def test_bccp_star_kernel_vs_bruteforce(a, b):
     Q = rng.random((b, 3)) + 0.2
     cdP = rng.random(a)
     cdQ = rng.random(b)
-    i, j, w = bccp_star_kernel(P, Q, cdP, cdQ)
+    i, j, w = bccp_kernel(P, Q, cdP, cdQ)
     dmat = np.linalg.norm(P[:, None] - Q[None], axis=2)
     dm = np.maximum(dmat, np.maximum(cdP[:, None], cdQ[None]))
     assert np.isclose(w, dm.min())
@@ -53,21 +47,20 @@ def test_bccp_star_kernel_vs_bruteforce(a, b):
     )
 
 
-def test_bccp_kernel_chunking():
+@pytest.mark.parametrize("star", [False, True], ids=["bccp", "bccp_star"])
+def test_bccp_kernel_chunking(monkeypatch, star):
     """Force the row-chunked path (cells > _CHUNK_CELLS)."""
-    from repro.core import bccp as m
-
-    old = m._CHUNK_CELLS
-    m._CHUNK_CELLS = 50
-    try:
-        rng = np.random.default_rng(3)
-        P, Q = rng.random((40, 2)), rng.random((37, 2))
-        i, j, w = bccp_kernel(P, Q)
-        assert np.isclose(
-            w, np.linalg.norm(P[:, None] - Q[None], axis=2).min()
-        )
-    finally:
-        m._CHUNK_CELLS = old
+    monkeypatch.setattr(bccp_mod, "_CHUNK_CELLS", 50)
+    rng = np.random.default_rng(3)
+    P, Q = rng.random((40, 2)), rng.random((37, 2))
+    dm = np.linalg.norm(P[:, None] - Q[None], axis=2)
+    cds = ()
+    if star:
+        cds = (rng.random(40) * 0.3, rng.random(37) * 0.3)
+        dm = np.maximum(dm, np.maximum(cds[0][:, None], cds[1][None]))
+    i, j, w = bccp_kernel(P, Q, *cds)
+    assert np.isclose(w, dm.min())
+    assert np.isclose(dm[i, j], w)
 
 
 def test_bccp_exact_for_coincident_points():
@@ -87,7 +80,7 @@ def test_kernels_exact_far_from_origin(star):
     dm = np.linalg.norm(P[:, None] - Q[None], axis=2)
     if star:
         dm = np.maximum(dm, np.maximum(cdP[:, None], cdQ[None]))
-        _, _, w = bccp_star_kernel(P, Q, cdP, cdQ)
+        _, _, w = bccp_kernel(P, Q, cdP, cdQ)
     else:
         _, _, w = bccp_kernel(P, Q)
     assert np.isclose(w, dm.min(), rtol=1e-12, atol=0)

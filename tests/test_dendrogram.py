@@ -147,6 +147,14 @@ def test_single_leaf_tree():
     assert order.tolist() == [0] and bars[0] == np.inf
 
 
+@pytest.mark.parametrize("builder", [dendrogram_sequential, dendrogram_topdown])
+@pytest.mark.parametrize("n,s", [(50, -1), (50, 50), (1, 1)])
+def test_start_vertex_out_of_range_raises(builder, n, s):
+    edges = _random_tree(n, seed=1, shape="path")
+    with pytest.raises(ValueError, match="start vertex"):
+        builder(edges, s)
+
+
 def test_hdbscan_dendrogram_end_to_end():
     """Full paper pipeline: HDBSCAN* MST -> ordered dendrogram ->
     reachability plot. Mutual-reachability MSTs have tied weights

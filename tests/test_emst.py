@@ -112,6 +112,17 @@ def test_delaunay_rejects_non_2d():
         emst_delaunay(np.zeros((10, 3)))
 
 
+@pytest.mark.parametrize(
+    "pts,msg",
+    [(np.zeros(10), r"\(n, d\)"), (np.empty((0, 2)), "empty")],
+    ids=["1d", "empty"],
+)
+def test_delaunay_shares_the_point_check(pts, msg):
+    """Same input boundary as every other EMST method (kdtree.build)."""
+    with pytest.raises(ValueError, match=msg):
+        emst_delaunay(pts)
+
+
 @pytest.mark.parametrize("small_cells", [None, 0], ids=["batched", "matmul"])
 @pytest.mark.parametrize("name", ["naive", "gfk", "memogfk"])
 def test_emst_survives_large_translation(monkeypatch, name, small_cells):

@@ -156,3 +156,10 @@ def test_hdbscan_rejects_non_finite_points(method, bad):
     pts[5, 0] = bad
     with pytest.raises(ValueError, match="finite"):
         hdbscan_mst(pts, 5, method=method)
+
+
+@pytest.mark.parametrize("min_pts", [0, -1])
+@pytest.mark.parametrize("method", ["memogfk", "gantao"])
+def test_hdbscan_rejects_min_pts_below_1(method, min_pts):
+    with pytest.raises(ValueError, match="minPts"):
+        hdbscan_mst(sd.uniform_fill(50, 2, seed=2), min_pts, method=method)

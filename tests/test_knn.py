@@ -77,3 +77,9 @@ def test_knn_duplicate_points():
 def test_min_pts_too_large_raises():
     with pytest.raises(ValueError):
         core_distances(_pts(5, 2), 10)
+
+
+@pytest.mark.parametrize("min_pts", [0, -1])
+def test_min_pts_below_1_raises(min_pts):
+    with pytest.raises(ValueError, match="minPts"):
+        core_distances(_pts(5, 2), min_pts)

@@ -72,3 +72,15 @@ def test_optics_rejects_non_finite_points():
     pts[9, 0] = np.nan
     with pytest.raises(ValueError, match="finite"):
         optics_approx_mst(pts, 5)
+
+
+@pytest.mark.parametrize("min_pts", [0, -1])
+def test_optics_rejects_min_pts_below_1(min_pts):
+    with pytest.raises(ValueError, match="minPts"):
+        optics_approx_mst(sd.uniform_fill(60, 2, seed=1), min_pts)
+
+
+@pytest.mark.parametrize("rho", [0.0, -0.5])
+def test_optics_rejects_non_positive_rho(rho):
+    with pytest.raises(ValueError, match="rho"):
+        optics_approx_mst(sd.uniform_fill(60, 2, seed=1), 5, rho=rho)

@@ -6,7 +6,7 @@ import pytest
 
 from repro import synth_data as sd
 from repro.core.dendrogram import dendrogram_sequential, dendrogram_topdown
-from repro.core.emst import emst_delaunay, emst_gfk, emst_memogfk, emst_naive
+from repro.core.emst import emst_gfk, emst_memogfk, emst_naive
 from repro.core.hdbscan import core_distances, hdbscan_mst
 from repro.engine.distribute import SparkBccp, core_distances_spark
 from repro.geometry import kdtree as kdt
@@ -28,17 +28,17 @@ def test_emst_spark_equals_sequential(spark, midsize, fn):
     assert np.isclose(e_seq[:, 2].sum(), e_par[:, 2].sum())
 
 
-def test_delaunay_spark_equals_sequential(spark):
-    pts = sd.uniform_fill(1500, 2, seed=8)
-    e_seq, _ = emst_delaunay(pts)
-    e_par, _ = emst_delaunay(pts, spark=spark)
-    assert np.allclose(np.sort(e_seq[:, 2]), np.sort(e_par[:, 2]))
-
-
 def test_core_distances_spark_equals_sequential(spark):
     pts = sd.ss_varden(6000, 3, seed=5)  # above the driver-side cutoff
     got = core_distances_spark(spark, pts, 10)
     assert np.allclose(got, cd_seq(pts, 10))
+
+
+def test_core_distances_spark_rejects_min_pts_below_1(spark):
+    pts = sd.uniform_fill(100, 2, seed=3)
+    for min_pts in (0, -1):
+        with pytest.raises(ValueError, match="minPts"):
+            core_distances_spark(spark, pts, min_pts)
 
 
 def test_core_distances_dispatch(spark):
@@ -77,9 +77,14 @@ def test_spark_bccp_many_matches_local(spark, midsize):
         ctx.unpersist()
 
 
-def test_dendrogram_spark_equals_driver(spark):
-    pts = sd.ss_varden(4000, 2, seed=12)
-    edges, _ = emst_memogfk(pts)
+@pytest.fixture(scope="module")
+def varden_mst():
+    edges, _ = emst_memogfk(sd.ss_varden(4000, 2, seed=12))
+    return edges
+
+
+def test_dendrogram_spark_equals_driver(spark, varden_mst):
+    edges = varden_mst
     d_seq = dendrogram_sequential(edges, 0)
     d_par = dendrogram_topdown(edges, 0, spark=spark)
     o1, b1 = d_seq.reachability()
@@ -90,6 +95,16 @@ def test_dendrogram_spark_equals_driver(spark):
     assert np.allclose(np.sort(b1[1:]), np.sort(b2[1:]))
     # EMST weights are generically distinct -> orders must agree exactly.
     assert np.array_equal(o1, o2)
+
+
+def test_dendrogram_spark_bit_identical_to_topdown(spark, varden_mst):
+    """Executors solve the light subproblems with the node ids the
+    driver-side recursion would assign, so every array matches."""
+    d_drv = dendrogram_topdown(varden_mst, 0)
+    d_par = dendrogram_topdown(varden_mst, 0, spark=spark)
+    assert d_par.root == d_drv.root
+    for name in ("left", "right", "weight"):
+        assert np.array_equal(getattr(d_par, name), getattr(d_drv, name)), name
 
 
 def test_spark_bccp_small_batch_runs_on_driver(spark, midsize):

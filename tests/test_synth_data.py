@@ -90,17 +90,3 @@ def test_points_pdf_roundtrip(spark):
         pts=pdf,
     )
 
-
-def test_tpch_lite_generators_still_work(spark):
-    """The provided OLAP generators remain usable (regression guard) —
-    checked through the DuckDB oracle."""
-    li = sd.lineitem(spark, sf=0.001)
-    got = li.selectExpr("count(*) AS n", "round(sum(l_quantity), 4) AS q")
-    import pandas as pd
-
-    li_pd = li.toPandas()
-    assert_equivalent(
-        got,
-        "SELECT count(*) AS n, round(sum(l_quantity), 4) AS q FROM li",
-        li=li_pd,
-    )
