@@ -19,7 +19,7 @@ from ..geometry.kdtree import KDTree
 
 # Cap on the number of matrix cells materialized per chunk; large pairs
 # are processed in row blocks so memory stays bounded.
-_CHUNK_CELLS = 4_000_000
+_CHUNK_CELLS = 1 << 18
 # Pairs with at most this many cross cells |A||B| are solved by the
 # segmented pass of ``bccp_batch``; below it one matmul kernel call
 # costs more in fixed overhead than the pair's distance cells.

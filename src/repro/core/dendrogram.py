@@ -16,8 +16,9 @@ Two constructions, which must agree (tests enforce it):
   the heaviest ~n/10 edges ("heavy"), solve each light-edge component
   and the contracted heavy problem recursively, and graft light roots
   into the heavy dendrogram's leaves. With a SparkSession, the
-  top-level light subproblems are solved in one Spark fan-out (the
-  paper's implementation note: parallelism across subproblems).
+  top-level light subproblems are solved in one Spark fan-out once
+  their edges reach its break-even (the paper's implementation note:
+  parallelism across subproblems).
 
 Node encoding: the dendrogram over n leaves has n-1 internal nodes in
 flat arrays ``left``/``right``/``weight``. A child reference r is a
@@ -26,7 +27,6 @@ otherwise.
 """
 from __future__ import annotations
 
-import pickle
 from dataclasses import dataclass
 
 import numpy as np
@@ -224,7 +224,7 @@ def _solve(
     spark: SparkSession | None = None,
 ) -> int:
     """Recursive top-down solve; returns the root ref. With ``spark``,
-    this level's light subproblems are solved in one Spark fan-out."""
+    this level's light subproblems go through the Spark fan-out."""
     m = edges.shape[0]
     if m == 0:
         return int(refs[0])
@@ -253,26 +253,26 @@ def _solve_remote(
     refs: np.ndarray,
     builder: _Builder,
 ) -> list[int]:
-    """Solve the light subproblems in executors; returns their roots.
+    """Solve the light subproblems through the Spark fan-out; returns
+    their roots.
 
     A subproblem with m edges creates exactly m internal nodes, so each
     one is handed the id range the driver-side loop would give it. The
-    executors' nodes then carry their final ids and are copied in as
+    solved nodes then carry their final ids and are copied in as
     slices, bit-identical to solving on the driver.
     """
     from ..engine.distribute import run_payloads_spark
 
     sizes = [sub.shape[0] for sub, _ in lights]
     bases = builder.next_id + np.cumsum([0] + sizes)
-    payloads = [
-        pickle.dumps((sub, refs[members], int(base)))
-        for (sub, members), base in zip(lights, bases)
+    subproblems = [
+        (sub, refs[members], int(base)) for (sub, members), base in zip(lights, bases)
     ]
-    roots = [0] * len(lights)
-    for k, blob in run_payloads_spark(spark, payloads):
-        left, right, weight, roots[k] = pickle.loads(blob)
+    roots = []
+    for k, (left, right, weight, root) in enumerate(run_payloads_spark(spark, subproblems)):
         ids = slice(bases[k] - builder.base, bases[k + 1] - builder.base)
         builder.left[ids], builder.right[ids], builder.weight[ids] = left, right, weight
+        roots.append(root)
     builder.next_id = int(bases[-1])
     return roots
 
@@ -314,7 +314,8 @@ def dendrogram_topdown(
 
     With ``spark``, the top level's light-edge subproblems are solved in
     one Spark fan-out (each by the same recursion, in an executor) and
-    grafted into the heavy-edge dendrogram computed on the driver.
+    grafted into the heavy-edge dendrogram computed on the driver; below
+    the fan-out's break-even they are solved on the driver.
     """
     return _dendrogram(
         edges, s, lambda e5, refs, builder: _solve(e5, refs, builder, spark)

@@ -3,8 +3,8 @@
 Pipeline (both methods):
 
 1. core distances cd(p) = distance to the minPts-th nearest neighbor
-   including p (k-NN over the kd-tree; Spark-chunked when a session is
-   given);
+   including p (k-NN over the kd-tree; fanned out over Spark leaf ranges
+   when a session is given and the input reaches the break-even);
 2. kd-tree augmented with per-node cd_min/cd_max;
 3. MST of the mutual reachability graph via MemoGFK with BCCP*:
 
@@ -33,7 +33,8 @@ from .wspd import wspd
 def core_distances(
     points: np.ndarray, min_pts: int, spark: SparkSession | None = None
 ) -> np.ndarray:
-    """cd(p) for every point; parallel k-NN when ``spark`` is given."""
+    """cd(p) for every point; parallel k-NN when ``spark`` is given
+    (above the fan-out's break-even)."""
     if spark is not None:
         from ..engine.distribute import core_distances_spark
 

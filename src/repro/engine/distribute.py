@@ -1,22 +1,23 @@
 """Spark fan-out of the paper's shared-memory parallel loops.
 
 The paper runs on a 48-core Cilk machine; every parallel-for over
-independent heavy kernels (BCCP batches, k-NN queries, light-edge
+independent heavy kernels (BCCP batches, k-NN leaf ranges, light-edge
 dendrogram subproblems) maps here onto one Spark DataFrame job:
 
-* driver broadcasts the reordered point array / core distances / kd-tree
-  arrays once per run;
-* the work list (node-id pairs, query-id chunks, pickled subproblems)
-  becomes a DataFrame, explicitly spread over ``defaultParallelism``
-  partitions by a balanced partition key;
+* driver broadcasts the kd-tree (with its reordered points and core
+  distances) once per run;
+* the work list (node-id pairs, leaf ranges, pickled subproblems)
+  becomes a DataFrame whose rows are ordered so that Spark's own
+  partitions are balanced groups (one stage, no shuffle);
 * ``mapInPandas`` runs the identical NumPy kernels used by the
   sequential path inside executors;
 * results return to the driver (Kruskal's union-find, like the paper's,
   is a serial fraction that Figure 8 shows is negligible).
 
-Tiny batches are executed on the driver instead — shipping four
-integers to a cluster to compare two points is pure overhead; the paper
-makes the same granularity argument for its parallel loops.
+Granularity control, as in the paper's parallel loops: each fan-out
+runs on the driver below a break-even amount of work, set from a
+driver-vs-Spark measurement (DESIGN.md, Section 3) because a Spark job
+has a fixed cost of about a third of a second.
 """
 from __future__ import annotations
 
@@ -24,32 +25,60 @@ import pickle
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import SparkSession
+from pyspark.sql import DataFrame, SparkSession
 
 from ..core.bccp import bccp_batch
 from ..core.dendrogram import solve_subproblem_kernel
 from ..geometry.kdtree import KDTree
 
-# Below this many distance-matrix cells a fan-out costs more than it
-# saves; the batch runs on the driver.
-_MIN_PARALLEL_CELLS = 100_000
+# Break-evens, measured on local[4] with jobs/break_even.py (DESIGN.md,
+# Section 3): below these the driver finishes before a Spark job would.
+_MIN_PARALLEL_CELLS = 50_000_000  # BCCP*: cross cells a batch can spread
+_MIN_PARALLEL_POINTS = 20_000  # k-NN: points
+_MIN_PARALLEL_EDGES = 30_000  # dendrogram: light-subproblem edges of the top level
+
+
+def _dealt(spark: SparkSession, pdf: pd.DataFrame, weight: np.ndarray) -> DataFrame:
+    """``pdf`` as a Spark DataFrame whose partitions are balanced groups:
+    heaviest rows first, dealt round-robin.
+
+    Spark cuts a local DataFrame of r rows into p = min(r,
+    defaultParallelism) partitions, partition s holding rows
+    [s r // p, (s + 1) r // p), so ordering the rows is enough; a
+    ``repartition`` would add a shuffle stage.
+    """
+    r = len(pdf)
+    p = min(r, spark.sparkContext.defaultParallelism)
+    bounds = np.arange(p + 1) * r // p
+    part = np.repeat(np.arange(p), np.diff(bounds))
+    turn = np.arange(r) - bounds[part]
+    order = np.empty(r, dtype=np.int64)
+    order[np.lexsort((part, turn))] = np.argsort(-weight, kind="stable")
+    return spark.createDataFrame(pdf.iloc[order])
+
+
+def spread_cells(cells: np.ndarray) -> int:
+    """Cross cells of a BCCP batch outside its largest pair: an executor
+    takes each pair whole, so only these can be spread over executors."""
+    return int(cells.sum() - cells.max())
 
 
 class SparkBccp:
     """Distributes BCCP / BCCP* batches for GFK and MemoGFK rounds.
 
-    Construct once per MST run (one broadcast of the kd-tree), then
-    ``bccp_many`` is called every round with that round's missing pairs.
+    Construct once per MST run, then ``bccp_many`` is called every round
+    with that round's missing pairs. The kd-tree is broadcast once, when
+    the first batch fans out.
     """
 
-    def __init__(self, spark: SparkSession, tree: KDTree, n_parts: int | None = None):
+    def __init__(self, spark: SparkSession, tree: KDTree):
         self.spark = spark
         self.tree = tree
-        self.n_parts = n_parts or spark.sparkContext.defaultParallelism
-        self._bc = spark.sparkContext.broadcast(tree)
+        self._bc = None
 
     def unpersist(self) -> None:
-        self._bc.unpersist()
+        if self._bc is not None:
+            self._bc.unpersist()
 
     def bccp_many(self, pairs: np.ndarray, star: bool = False) -> np.ndarray:
         """BCCP (or BCCP*) of each (node_a, node_b) row of ``pairs``.
@@ -62,19 +91,10 @@ class SparkBccp:
         t = self.tree
         sz = t.hi - t.lo
         cells = sz[pairs[:, 0]] * sz[pairs[:, 1]]
-        if int(cells.sum()) < _MIN_PARALLEL_CELLS:
+        if pairs.shape[0] < 2 or spread_cells(cells) < _MIN_PARALLEL_CELLS:
             return bccp_batch(t, pairs[:, 0], pairs[:, 1], star)
-
-        # Balance: largest pairs first, round-robin over partitions.
-        order = np.argsort(-cells, kind="stable")
-        pdf = pd.DataFrame(
-            {
-                "k": order,
-                "a": pairs[order, 0],
-                "b": pairs[order, 1],
-                "part": np.arange(order.size, dtype=np.int64) % self.n_parts,
-            }
-        )
+        if self._bc is None:
+            self._bc = self.spark.sparkContext.broadcast(t)
         bc = self._bc
         use_star = bool(star)
 
@@ -93,9 +113,11 @@ class SparkBccp:
                     }
                 )
 
-        df = self.spark.createDataFrame(pdf)
+        pdf = pd.DataFrame(
+            {"k": np.arange(pairs.shape[0]), "a": pairs[:, 0], "b": pairs[:, 1]}
+        )
         res = (
-            df.repartition(self.n_parts, "part")
+            _dealt(self.spark, pdf, cells)
             .mapInPandas(compute, schema="k long, u long, v long, w double")
             .toPandas()
         )
@@ -112,84 +134,83 @@ def core_distances_spark(
     n_chunks: int | None = None,
 ) -> np.ndarray:
     """Parallel core distances: build the k-NN tree on the driver,
-    broadcast it, and fan the queries out in contiguous chunks.
+    broadcast it, and fan its leaves out in contiguous ranges, each
+    solved by ``leaf_kth_distances`` as on the driver.
 
     Mirrors the paper's parallel k-NN step (Section 3.2.1); returns
     cd[i] for every original point id i.
     """
     from ..geometry import kdtree as kdt
-    from ..geometry.knn import kth_distances
+    from ..geometry.knn import core_distances, leaf_kth_distances, sorted_leaves
 
     pts = np.ascontiguousarray(np.asarray(points, dtype=np.float64))
     n = pts.shape[0]
+    if n < _MIN_PARALLEL_POINTS:
+        return core_distances(pts, min_pts, leaf_size)
     if not 1 <= min_pts <= n:
         raise ValueError("minPts must be between 1 and the number of points")
-    tree = kdt.build(pts.copy(), leaf_size=leaf_size)
-    par = n_chunks or 4 * spark.sparkContext.defaultParallelism
-    if n < 4096:
-        return kth_distances(tree, pts, min_pts)
-    bc = spark.sparkContext.broadcast({"tree": tree, "queries": pts})
-    bounds = np.linspace(0, n, par + 1, dtype=np.int64)
-    pdf = pd.DataFrame(
-        {"lo": bounds[:-1], "hi": bounds[1:], "part": np.arange(par) % par}
-    )
+    tree = kdt.build(pts, leaf_size=leaf_size)
+    n_leaves = sorted_leaves(tree).size
+    par = min(n_chunks or 4 * spark.sparkContext.defaultParallelism, n_leaves)
+    bounds = np.linspace(0, n_leaves, par + 1, dtype=np.int64)
+    bc = spark.sparkContext.broadcast(tree)
     k = int(min_pts)
 
     def compute(batches):
-        data = bc.value
-        t, q = data["tree"], data["queries"]
+        t = bc.value
+        leaves = sorted_leaves(t)
         for b_pdf in batches:
-            for lo, hi in zip(b_pdf["lo"].to_numpy(), b_pdf["hi"].to_numpy()):
-                cds = kth_distances(t, q[lo:hi], k)
-                yield pd.DataFrame(
-                    {"id": np.arange(lo, hi, dtype=np.int64), "cd": cds}
-                )
+            for a, z in zip(b_pdf["first"].to_numpy(), b_pdf["last"].to_numpy()):
+                rows = np.arange(t.lo[leaves[a]], t.hi[leaves[z - 1]])
+                cds = leaf_kth_distances(t, leaves[a:z], k)
+                yield pd.DataFrame({"row": rows, "cd": cds})
 
-    res = (
-        spark.createDataFrame(pdf)
-        .repartition(min(par, 64), "part")
-        .mapInPandas(compute, schema="id long, cd double")
-        .toPandas()
-    )
-    bc.unpersist()
+    pdf = pd.DataFrame({"first": bounds[:-1], "last": bounds[1:]})
+    try:
+        res = (
+            _dealt(spark, pdf, np.diff(bounds))
+            .mapInPandas(compute, schema="row long, cd double")
+            .toPandas()
+        )
+    finally:
+        bc.unpersist()
     out = np.empty(n)
-    out[res["id"].to_numpy()] = res["cd"].to_numpy()
+    out[tree.perm[res["row"].to_numpy()]] = res["cd"].to_numpy()
     return out
 
 
 def run_payloads_spark(
-    spark: SparkSession, payloads: list[bytes]
-) -> list[tuple[int, bytes]]:
-    """Dendrogram light-edge subproblem fan-out: each pickled payload
-    is solved in an executor by ``solve_subproblem_kernel`` and pickled
-    back; returns (payload index, result) pairs in arrival order.
+    spark: SparkSession, subproblems: list[tuple[np.ndarray, np.ndarray, int]]
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, int]]:
+    """Dendrogram light-edge subproblem fan-out: solve every
+    (edges, refs, base) subproblem with ``solve_subproblem_kernel``,
+    pickled into and out of executors when their edges reach the
+    break-even; returns the results in the order of ``subproblems``.
     """
-    if not payloads:
-        return []
-    n_parts = min(len(payloads), spark.sparkContext.defaultParallelism)
-    sizes = np.array([len(p) for p in payloads], dtype=np.int64)
-    order = np.argsort(-sizes, kind="stable")
-    pdf = pd.DataFrame(
-        {
-            "sub_id": [int(i) for i in order],
-            "blob": [payloads[i] for i in order],
-            "part": np.arange(order.size, dtype=np.int64) % n_parts,
-        }
-    )
+    edges = np.array([e.shape[0] for e, _, _ in subproblems], dtype=np.int64)
+    if not subproblems or int(edges.sum()) < _MIN_PARALLEL_EDGES:
+        return [solve_subproblem_kernel(*sub) for sub in subproblems]
 
     def compute(batches):
         for b_pdf in batches:
-            out = {"sub_id": [], "blob": []}
-            for sid, blob in zip(b_pdf["sub_id"], b_pdf["blob"]):
-                result = solve_subproblem_kernel(*pickle.loads(bytes(blob)))
-                out["sub_id"].append(int(sid))
-                out["blob"].append(pickle.dumps(result))
-            yield pd.DataFrame(out)
+            blobs = [
+                pickle.dumps(solve_subproblem_kernel(*pickle.loads(bytes(blob))))
+                for blob in b_pdf["blob"]
+            ]
+            yield pd.DataFrame({"sub_id": b_pdf["sub_id"].to_numpy(), "blob": blobs})
 
+    pdf = pd.DataFrame(
+        {
+            "sub_id": np.arange(len(subproblems)),
+            "blob": [pickle.dumps(sub) for sub in subproblems],
+        }
+    )
     res = (
-        spark.createDataFrame(pdf)
-        .repartition(n_parts, "part")
+        _dealt(spark, pdf, edges)
         .mapInPandas(compute, schema="sub_id long, blob binary")
         .toPandas()
     )
-    return [(int(r.sub_id), bytes(r.blob)) for r in res.itertuples()]
+    out = [None] * len(subproblems)
+    for sid, blob in zip(res["sub_id"], res["blob"]):
+        out[int(sid)] = pickle.loads(bytes(blob))
+    return out

@@ -6,7 +6,8 @@ import pytest
 
 from repro import synth_data as sd
 from repro.geometry import kdtree as kdt
-from repro.geometry.knn import core_distances, knn_one
+from repro.geometry import knn
+from repro.geometry.knn import core_distances
 from repro.oracle import assert_equivalent
 
 DIMS = [1, 2, 3, 5]
@@ -19,13 +20,73 @@ def _pts(n, d, seed=0):
 @pytest.mark.parametrize("d", DIMS)
 @pytest.mark.parametrize("k", [1, 2, 5, 10])
 def test_knn_one_vs_bruteforce(d, k):
+    """Query by query, the leaf kernel's k-th distance is the k-th of
+    the sorted brute-force distances."""
     pts = _pts(200, d, seed=d)
     tree = kdt.build(pts.copy(), leaf_size=8)
+    got = np.empty(200)
+    got[tree.perm] = knn.leaf_kth_distances(tree, knn.sorted_leaves(tree), k)
     rng = np.random.default_rng(1)
     for i in rng.integers(0, 200, 20):
-        got = knn_one(tree, pts[i], k)
         ref = np.sort(np.linalg.norm(pts - pts[i], axis=1))[:k]
-        assert np.allclose(got, ref)
+        assert np.isclose(got[i], ref[-1])
+
+
+def _bruteforce(pts, k):
+    """Dense k-th distances with the kernel's own squared-distance sum."""
+    diff = pts[None] - pts[:, None]
+    d2 = np.einsum("ijk,ijk->ij", diff, diff)
+    return np.sqrt(np.partition(d2, k - 1, axis=1)[:, k - 1])
+
+
+def _min_pts(pts, min_pts):
+    return pts.shape[0] if min_pts == "n" else min_pts
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 7])
+@pytest.mark.parametrize("min_pts", [1, 2, 10, "n"])
+@pytest.mark.parametrize("leaf_size", [1, 16])
+def test_core_distances_bit_identical_to_bruteforce(d, min_pts, leaf_size):
+    pts = _pts(200, d, seed=d)
+    k = _min_pts(pts, min_pts)
+    assert np.array_equal(core_distances(pts, k, leaf_size), _bruteforce(pts, k))
+
+
+DEGENERATE = {
+    "identical": np.full((60, 3), 2.5),
+    "dup5x": np.repeat(_pts(40, 2, seed=4), 5, axis=0),
+    "collinear": np.linspace(0.0, 1.0, 150)[:, None] * [1.0, 2.0, -3.0] + 0.5,
+    "shift1e9": _pts(150, 2, seed=5) + 1e9,
+}
+
+
+@pytest.mark.parametrize("name", DEGENERATE)
+@pytest.mark.parametrize("min_pts", [1, 2, 5, 10, "n"])
+@pytest.mark.parametrize("leaf_size", [1, 16])
+def test_core_distances_degenerate_inputs(name, min_pts, leaf_size):
+    pts = DEGENERATE[name]
+    k = _min_pts(pts, min_pts)
+    assert np.array_equal(core_distances(pts, k, leaf_size), _bruteforce(pts, k))
+
+
+@pytest.mark.parametrize("chunk_cells", [1, 300])
+def test_core_distances_chunk_boundaries(monkeypatch, chunk_cells):
+    """One and a few query leaves per chunk of box distances."""
+    monkeypatch.setattr(knn, "_CHUNK_CELLS", chunk_cells)
+    pts = _pts(300, 3, seed=8)
+    assert np.array_equal(core_distances(pts, 10, 4), _bruteforce(pts, 10))
+
+
+def test_leaf_ranges_tile_the_full_run():
+    """Executors solve contiguous leaf ranges; their concatenation must
+    equal one run over all leaves."""
+    tree = kdt.build(_pts(400, 2, seed=9), leaf_size=8)
+    leaves = knn.sorted_leaves(tree)
+    assert np.array_equal(tree.lo[leaves[1:]], tree.hi[leaves[:-1]])
+    full = knn.leaf_kth_distances(tree, leaves, 7)
+    cuts = [0, 1, 13, leaves.size // 2, leaves.size]
+    parts = [knn.leaf_kth_distances(tree, leaves[a:z], 7) for a, z in zip(cuts, cuts[1:])]
+    assert np.array_equal(np.concatenate(parts), full)
 
 
 @pytest.mark.parametrize("d", DIMS)
@@ -69,9 +130,7 @@ def test_core_distances_duckdb_oracle(spark, min_pts):
 
 def test_knn_duplicate_points():
     pts = np.vstack([np.zeros((5, 2)), np.ones((5, 2))])
-    tree = kdt.build(pts.copy(), leaf_size=1)
-    got = knn_one(tree, np.zeros(2), 5)
-    assert np.allclose(got, 0.0)
+    assert np.array_equal(core_distances(pts, 5, leaf_size=1), np.zeros(10))
 
 
 def test_min_pts_too_large_raises():

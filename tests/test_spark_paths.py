@@ -1,13 +1,23 @@
 """Spark-parallel paths must produce the same results as the sequential
 implementations — the reproduction's '48 cores' configuration is only
-valid if it computes the identical MSTs/dendrograms."""
+valid if it computes the identical MSTs/dendrograms.
+
+Below their break-evens the fan-outs run on the driver, so each
+equality test sets the break-even constants to 0 (``forced``) and checks
+through ``statusTracker`` that Spark jobs ran, one stage each."""
+import itertools
+from contextlib import contextmanager
+
 import numpy as np
+import pandas as pd
 import pytest
 
 from repro import synth_data as sd
+from repro.core.bccp import bccp_batch
 from repro.core.dendrogram import dendrogram_sequential, dendrogram_topdown
 from repro.core.emst import emst_gfk, emst_memogfk, emst_naive
 from repro.core.hdbscan import core_distances, hdbscan_mst
+from repro.engine import distribute
 from repro.engine.distribute import SparkBccp, core_distances_spark
 from repro.geometry import kdtree as kdt
 from repro.geometry.knn import core_distances as cd_seq
@@ -18,20 +28,53 @@ def midsize():
     return sd.uniform_fill(2000, 3, seed=55)
 
 
+@pytest.fixture
+def forced(monkeypatch):
+    """Every fan-out runs in Spark, however small its work."""
+    for name in ("_MIN_PARALLEL_CELLS", "_MIN_PARALLEL_POINTS", "_MIN_PARALLEL_EDGES"):
+        monkeypatch.setattr(distribute, name, 0)
+
+
+_groups = itertools.count()
+
+
+@contextmanager
+def spark_jobs(spark):
+    """Yields a list that receives the ids of the Spark jobs run inside
+    the block; each fan-out must be one single-stage job."""
+    sc = spark.sparkContext
+    group = f"test-spark-paths-{next(_groups)}"
+    sc.setJobGroup(group, group)
+    jobs = []
+    try:
+        yield jobs
+    finally:
+        sc.setJobGroup("", "")
+    tracker = sc.statusTracker()
+    jobs.extend(tracker.getJobIdsForGroup(group))
+    for job in jobs:
+        assert len(tracker.getJobInfo(job).stageIds) == 1, job
+
+
 @pytest.mark.parametrize(
     "fn", [emst_naive, emst_gfk, emst_memogfk], ids=["naive", "gfk", "memogfk"]
 )
-def test_emst_spark_equals_sequential(spark, midsize, fn):
+def test_emst_spark_equals_sequential(spark, forced, midsize, fn):
     e_seq, _ = fn(midsize)
-    e_par, _ = fn(midsize, spark=spark)
+    with spark_jobs(spark) as jobs:
+        e_par, _ = fn(midsize, spark=spark)
+    assert jobs
     assert np.allclose(np.sort(e_seq[:, 2]), np.sort(e_par[:, 2]))
     assert np.isclose(e_seq[:, 2].sum(), e_par[:, 2].sum())
 
 
-def test_core_distances_spark_equals_sequential(spark):
-    pts = sd.ss_varden(6000, 3, seed=5)  # above the driver-side cutoff
-    got = core_distances_spark(spark, pts, 10)
-    assert np.allclose(got, cd_seq(pts, 10))
+def test_core_distances_spark_equals_sequential(spark, forced):
+    pts = sd.ss_varden(6000, 3, seed=5)
+    for min_pts in (1, 10):
+        with spark_jobs(spark) as jobs:
+            got = core_distances_spark(spark, pts, min_pts)
+        assert len(jobs) == 1
+        assert np.array_equal(got, cd_seq(pts, min_pts))
 
 
 def test_core_distances_spark_rejects_min_pts_below_1(spark):
@@ -42,19 +85,24 @@ def test_core_distances_spark_rejects_min_pts_below_1(spark):
 
 
 def test_core_distances_dispatch(spark):
-    pts = sd.uniform_fill(500, 2, seed=3)  # below cutoff: driver path
-    assert np.allclose(core_distances(pts, 5, spark=spark), cd_seq(pts, 5))
+    pts = sd.uniform_fill(500, 2, seed=3)  # below the break-even: driver path
+    with spark_jobs(spark) as jobs:
+        got = core_distances(pts, 5, spark=spark)
+    assert not jobs
+    assert np.array_equal(got, cd_seq(pts, 5))
 
 
 @pytest.mark.parametrize("method", ["memogfk", "gantao"])
-def test_hdbscan_spark_equals_sequential(spark, midsize, method):
+def test_hdbscan_spark_equals_sequential(spark, forced, midsize, method):
     e_seq, cd1, _ = hdbscan_mst(midsize, 10, method=method)
-    e_par, cd2, _ = hdbscan_mst(midsize, 10, method=method, spark=spark)
-    assert np.allclose(cd1, cd2)
+    with spark_jobs(spark) as jobs:
+        e_par, cd2, _ = hdbscan_mst(midsize, 10, method=method, spark=spark)
+    assert len(jobs) >= 2  # k-NN and BCCP* batches
+    assert np.array_equal(cd1, cd2)
     assert np.allclose(np.sort(e_seq[:, 2]), np.sort(e_par[:, 2]))
 
 
-def test_spark_bccp_many_matches_local(spark, midsize):
+def test_spark_bccp_many_matches_local(spark, forced, midsize):
     """The mapInPandas BCCP kernel must agree with the driver kernel,
     pair by pair, for both metrics."""
     from repro.core import bccp as bccp_mod
@@ -67,7 +115,9 @@ def test_spark_bccp_many_matches_local(spark, midsize):
     ctx = SparkBccp(spark, tree)
     try:
         for star in (False, True):
-            got = ctx.bccp_many(pairs, star=star)
+            with spark_jobs(spark) as jobs:
+                got = ctx.bccp_many(pairs, star=star)
+            assert len(jobs) == 1
             fn = bccp_mod.bccp_star if star else bccp_mod.bccp
             for k in range(0, len(pairs), max(1, len(pairs) // 200)):
                 u, v, w = fn(tree, *map(int, pairs[k]))
@@ -83,10 +133,12 @@ def varden_mst():
     return edges
 
 
-def test_dendrogram_spark_equals_driver(spark, varden_mst):
+def test_dendrogram_spark_equals_driver(spark, forced, varden_mst):
     edges = varden_mst
     d_seq = dendrogram_sequential(edges, 0)
-    d_par = dendrogram_topdown(edges, 0, spark=spark)
+    with spark_jobs(spark) as jobs:
+        d_par = dendrogram_topdown(edges, 0, spark=spark)
+    assert len(jobs) == 1
     o1, b1 = d_seq.reachability()
     o2, b2 = d_par.reachability()
     from repro.graph.prim import is_valid_prim_order
@@ -97,11 +149,13 @@ def test_dendrogram_spark_equals_driver(spark, varden_mst):
     assert np.array_equal(o1, o2)
 
 
-def test_dendrogram_spark_bit_identical_to_topdown(spark, varden_mst):
+def test_dendrogram_spark_bit_identical_to_topdown(spark, forced, varden_mst):
     """Executors solve the light subproblems with the node ids the
     driver-side recursion would assign, so every array matches."""
     d_drv = dendrogram_topdown(varden_mst, 0)
-    d_par = dendrogram_topdown(varden_mst, 0, spark=spark)
+    with spark_jobs(spark) as jobs:
+        d_par = dendrogram_topdown(varden_mst, 0, spark=spark)
+    assert len(jobs) == 1
     assert d_par.root == d_drv.root
     for name in ("left", "right", "weight"):
         assert np.array_equal(getattr(d_par, name), getattr(d_drv, name)), name
@@ -117,10 +171,63 @@ def test_spark_bccp_small_batch_runs_on_driver(spark, midsize):
         pairs = [
             (int(tree.left[v]), int(tree.right[v])) for v in internal[:5]
         ]
-        got = ctx.bccp_many(pairs)
+        with spark_jobs(spark) as jobs:
+            got = ctx.bccp_many(pairs)
+        assert not jobs
         from repro.core.bccp import bccp
 
         for k, p in enumerate(pairs):
             assert np.isclose(got[k, 2], bccp(tree, *p)[2])
     finally:
         ctx.unpersist()
+
+
+def test_spark_bccp_largest_pair_is_not_spread(spark, monkeypatch, midsize):
+    """A batch fans out only when its cells outside the largest pair
+    (which one executor takes whole) reach the break-even."""
+    tree = kdt.build(midsize, leaf_size=1)
+    internal = np.flatnonzero(tree.left >= 0)[:5]
+    pairs = np.column_stack([tree.left[internal], tree.right[internal]])
+    sz = tree.hi - tree.lo
+    cells = sz[pairs[:, 0]] * sz[pairs[:, 1]]
+    spread = int(cells.sum() - cells.max())
+    ctx = SparkBccp(spark, tree)
+    try:
+        want = bccp_batch(tree, pairs[:, 0], pairs[:, 1])
+        for threshold, n_jobs in ((spread + 1, 0), (spread, 1)):
+            monkeypatch.setattr(distribute, "_MIN_PARALLEL_CELLS", threshold)
+            with spark_jobs(spark) as jobs:
+                got = ctx.bccp_many(pairs)
+            assert len(jobs) == n_jobs
+            assert np.array_equal(got, want)
+    finally:
+        ctx.unpersist()
+
+
+def test_dealt_partitions_are_balanced_groups(spark):
+    """Spark's own partitions of a dealt DataFrame are the round-robin
+    groups of the rows sorted by weight, so no two partition totals
+    differ by more than the largest weight."""
+    w = np.random.default_rng(0).integers(1, 1000, 37)
+    df = distribute._dealt(spark, pd.DataFrame({"w": w}), w)
+    totals = df.rdd.mapPartitions(lambda rows: [sum(r.w for r in rows)]).collect()
+    assert len(totals) == min(w.size, spark.sparkContext.defaultParallelism)
+    assert sum(totals) == w.sum()
+    assert max(totals) - min(totals) <= w.max()
+
+
+def test_hdbscan_pipeline_below_break_even_runs_on_driver(spark):
+    """At 2500 GeoLife-like points every fan-out is below its break-even:
+    the session runs no job and the results are bit-identical."""
+    pts = sd.geolife_like(2500, seed=1)
+    e_seq, cd_seq_, _ = hdbscan_mst(pts, 10)
+    d_seq = dendrogram_topdown(e_seq, 0)
+    with spark_jobs(spark) as jobs:
+        e_par, cd_par, _ = hdbscan_mst(pts, 10, spark=spark)
+        d_par = dendrogram_topdown(e_par, 0, spark=spark)
+    assert not jobs
+    assert np.array_equal(cd_seq_, cd_par)
+    assert np.array_equal(e_seq, e_par)
+    assert d_par.root == d_seq.root
+    for name in ("left", "right", "weight"):
+        assert np.array_equal(getattr(d_par, name), getattr(d_seq, name)), name
