@@ -44,6 +44,7 @@ def main() -> None:
     from repro.core.bccp import bccp_batch
     from repro.core.dendrogram import _HEAVY_FRAC, dendrogram_topdown
     from repro.engine import distribute
+    from repro.geometry import kdtree
     from repro.geometry.knn import core_distances
 
     spark = get_spark("break-even")
@@ -68,10 +69,11 @@ def main() -> None:
         setattr(distribute, name, 0)
     for n in args.sizes:
         pts = sd.geolife_like(n, seed=1)
+        tree = kdtree.build(pts)
         row(
             "k-NN", n, n,
-            lambda: core_distances(pts, 10),
-            lambda: distribute.core_distances_spark(spark, pts, 10),
+            lambda: core_distances(tree, 10),
+            lambda: distribute.core_distances_spark(spark, tree, 10),
         )
         batches.clear()
         distribute.SparkBccp.bccp_many = recording
@@ -79,7 +81,7 @@ def main() -> None:
             edges, cd, _ = hdbscan.hdbscan_mst(pts, 10, spark=spark)
         finally:
             distribute.SparkBccp.bccp_many = record
-        tree = hdbscan.build_hdbscan_tree(pts, cd)
+        kdtree.attach_core_distances(tree, cd)
         ctx = distribute.SparkBccp(spark, tree)
         sz = tree.hi - tree.lo
 

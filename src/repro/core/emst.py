@@ -40,7 +40,7 @@ def emst_naive(
     max_pairs: int | None = None,
 ) -> tuple[np.ndarray, GfkStats]:
     """EMST-Naive: BCCP edge for every WSPD pair, then one Kruskal."""
-    tree = kdt.build(points, leaf_size=1)
+    tree = kdt.build(points)
     pairs = wspd(tree, "s2", max_pairs=max_pairs)
     stats = GfkStats(rounds=1, pairs_materialized=int(pairs.shape[0]))
     ctx = _spark_ctx(spark, tree)
@@ -62,7 +62,7 @@ def emst_gfk(
     max_pairs: int | None = None,
 ) -> tuple[np.ndarray, GfkStats]:
     """EMST-GFK: Algorithm 2 on the materialized WSPD."""
-    tree = kdt.build(points, leaf_size=1)
+    tree = kdt.build(points)
     pairs = wspd(tree, "s2", max_pairs=max_pairs)
     ctx = _spark_ctx(spark, tree)
     edges, stats = gfk_mst(tree, pairs, star=False, spark_ctx=ctx)
@@ -75,7 +75,7 @@ def emst_memogfk(
     points: np.ndarray, spark: SparkSession | None = None
 ) -> tuple[np.ndarray, GfkStats]:
     """EMST-MemoGFK: Algorithm 3 (the paper's fastest method)."""
-    tree = kdt.build(points, leaf_size=1)
+    tree = kdt.build(points)
     ctx = _spark_ctx(spark, tree)
     edges, stats = memogfk_mst(tree, star=False, separation="s2", spark_ctx=ctx)
     if ctx is not None:
@@ -99,4 +99,6 @@ def emst_delaunay(points: np.ndarray) -> tuple[np.ndarray, GfkStats]:
     diff = pts[de[:, 0]] - pts[de[:, 1]]
     ws = np.sqrt(np.einsum("ij,ij->i", diff, diff))
     mst = kruskal.mst(pts.shape[0], de[:, 0], de[:, 1], ws)
+    if mst.shape[0] < pts.shape[0] - 1:
+        raise ValueError("Delaunay edges do not span the points (collinear input?)")
     return mst, stats

@@ -19,7 +19,7 @@ Tables 2/4/5.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +38,6 @@ class GfkStats:
     bccp_computed: int = 0
     pairs_materialized: int = 0       # peak simultaneously-live pairs
     bccp_work_cells: int = 0          # sum |A||B| actually evaluated
-    extra: dict = field(default_factory=dict)
 
 
 def mono_labels(tree: KDTree, uf: UnionFind) -> np.ndarray:

@@ -2,10 +2,10 @@
 
 Pipeline (both methods):
 
-1. core distances cd(p) = distance to the minPts-th nearest neighbor
-   including p (k-NN over the kd-tree; fanned out over Spark leaf ranges
-   when a session is given and the input reaches the break-even);
-2. kd-tree augmented with per-node cd_min/cd_max;
+1. one kd-tree, and on it the core distances cd(p) = distance to the
+   minPts-th nearest neighbor including p (fanned out over Spark block
+   ranges when a session is given and the input reaches the break-even);
+2. the tree augmented with per-node cd_min/cd_max;
 3. MST of the mutual reachability graph via MemoGFK with BCCP*:
 
    * ``method="gantao"``  — standard s=2 well-separation (the paper's
@@ -24,29 +24,33 @@ import numpy as np
 from pyspark.sql import SparkSession
 
 from ..geometry import kdtree as kdt
-from ..geometry.knn import core_distances as core_distances_seq
+from ..geometry import knn
 from .gfk import GfkStats
 from .memogfk import memogfk_mst
 from .wspd import wspd
 
 
 def core_distances(
-    points: np.ndarray, min_pts: int, spark: SparkSession | None = None
+    tree: kdt.KDTree, min_pts: int, spark: SparkSession | None = None
 ) -> np.ndarray:
-    """cd(p) for every point; parallel k-NN when ``spark`` is given
-    (above the fan-out's break-even)."""
+    """cd(p) for every point of ``tree`` (by original id); parallel k-NN
+    when ``spark`` is given (above the fan-out's break-even)."""
     if spark is not None:
         from ..engine.distribute import core_distances_spark
 
-        return core_distances_spark(spark, points, min_pts)
-    return core_distances_seq(points, min_pts)
+        return core_distances_spark(spark, tree, min_pts)
+    return knn.core_distances(tree, min_pts)
 
 
-def build_hdbscan_tree(points: np.ndarray, cd: np.ndarray) -> kdt.KDTree:
-    """Leaf-size-1 kd-tree with core-distance node summaries attached."""
-    tree = kdt.build(points, leaf_size=1)
+def core_tree(
+    points: np.ndarray, min_pts: int, spark: SparkSession | None = None
+) -> tuple[kdt.KDTree, np.ndarray]:
+    """The run's one kd-tree over ``points``, with the core distances
+    computed on it attached as node summaries; returns (tree, cd)."""
+    tree = kdt.build(points)
+    cd = core_distances(tree, min_pts, spark)
     kdt.attach_core_distances(tree, cd)
-    return tree
+    return tree, cd
 
 
 def hdbscan_mst(
@@ -61,9 +65,7 @@ def hdbscan_mst(
     """
     if method not in ("memogfk", "gantao"):
         raise ValueError(f"unknown method {method!r}")
-    pts = np.ascontiguousarray(np.asarray(points, dtype=np.float64))
-    cd = core_distances(pts, min_pts, spark)
-    tree = build_hdbscan_tree(pts, cd)
+    tree, cd = core_tree(points, min_pts, spark)
     separation = "hdbscan" if method == "memogfk" else "s2"
     ctx = None
     if spark is not None:
@@ -79,9 +81,7 @@ def hdbscan_mst(
 def wspd_pair_counts(points: np.ndarray, min_pts: int = 10) -> dict[str, int]:
     """Materialized-WSPD sizes under both separation notions — the
     space-saving claim of Section 3.2.2 (2.5–10.29x fewer pairs)."""
-    pts = np.ascontiguousarray(np.asarray(points, dtype=np.float64))
-    cd = core_distances_seq(pts, min_pts)
-    tree = build_hdbscan_tree(pts, cd)
+    tree, _ = core_tree(points, min_pts)
     return {
         "s2": int(wspd(tree, "s2").shape[0]),
         "hdbscan": int(wspd(tree, "hdbscan").shape[0]),

@@ -40,6 +40,8 @@ from .wspd import (
     v_well_separated,
 )
 
+_MAX_ROUNDS = 128  # beta doubles per round: a correct run needs ~log2(n)
+
 
 class BccpCache:
     """BCCP edges computed in earlier rounds, keyed by node pair
@@ -178,7 +180,6 @@ def memogfk_mst(
     star: bool = False,
     separation: str | float = "s2",
     spark_ctx=None,
-    max_rounds: int = 128,
 ) -> tuple[np.ndarray, GfkStats]:
     """Run Algorithm 3. Returns ((n-1, 3) [u, v, w] MST edges, stats).
 
@@ -195,7 +196,7 @@ def memogfk_mst(
     rho_lo = 0.0
     while len(out_edges) < n - 1:
         stats.rounds += 1
-        if stats.rounds > max_rounds:
+        if stats.rounds > _MAX_ROUNDS:
             raise RuntimeError("MemoGFK failed to converge (bug)")
         mono = mono_labels(tree, uf)
         rho_hi = get_rho(tree, beta, mono, separation, star)

@@ -21,7 +21,7 @@ from pyspark.sql import SparkSession
 
 from ..graph import kruskal
 from .gfk import GfkStats
-from .hdbscan import build_hdbscan_tree, core_distances
+from .hdbscan import core_tree
 from .wspd import wspd
 
 
@@ -67,15 +67,14 @@ def optics_approx_mst(
     if not rho > 0:
         raise ValueError("rho must be positive")
     s = float(np.sqrt(8.0 / rho))
-    pts = np.ascontiguousarray(np.asarray(points, dtype=np.float64))
-    n = pts.shape[0]
-    cd = core_distances(pts, min_pts, spark)
-    tree = build_hdbscan_tree(pts, cd)
+    tree, cd = core_tree(points, min_pts, spark)
+    pts = np.asarray(points, dtype=np.float64)
     pairs = wspd(tree, s)
     stats = GfkStats(rounds=1, pairs_materialized=int(pairs.shape[0]))
     rng = np.random.default_rng(seed)
-    all_u: list[np.ndarray] = []
-    all_v: list[np.ndarray] = []
+    # One point has no pairs: start from empty arrays.
+    all_u = [np.empty(0, dtype=np.int64)]
+    all_v = [np.empty(0, dtype=np.int64)]
     for a, b in pairs:
         us, vs = _pair_edges(tree, int(a), int(b), min_pts, rho, rng)
         all_u.append(us)
@@ -86,5 +85,5 @@ def optics_approx_mst(
     d = np.sqrt(np.einsum("ij,ij->i", diff, diff))
     ws = np.maximum(d / (1.0 + rho), np.maximum(cd[us], cd[vs]))
     stats.bccp_work_cells = int(us.size)
-    edges = kruskal.mst(n, us, vs, ws)
+    edges = kruskal.mst(tree.n, us, vs, ws)
     return edges, cd, stats

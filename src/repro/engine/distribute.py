@@ -1,12 +1,12 @@
 """Spark fan-out of the paper's shared-memory parallel loops.
 
 The paper runs on a 48-core Cilk machine; every parallel-for over
-independent heavy kernels (BCCP batches, k-NN leaf ranges, light-edge
+independent heavy kernels (BCCP batches, k-NN block ranges, light-edge
 dendrogram subproblems) maps here onto one Spark DataFrame job:
 
 * driver broadcasts the kd-tree (with its reordered points and core
   distances) once per run;
-* the work list (node-id pairs, leaf ranges, pickled subproblems)
+* the work list (node-id pairs, block ranges, pickled subproblems)
   becomes a DataFrame whose rows are ordered so that Spark's own
   partitions are balanced groups (one stage, no shuffle);
 * ``mapInPandas`` runs the identical NumPy kernels used by the
@@ -126,43 +126,34 @@ class SparkBccp:
         return out
 
 
-def core_distances_spark(
-    spark: SparkSession,
-    points: np.ndarray,
-    min_pts: int,
-    leaf_size: int = 16,
-    n_chunks: int | None = None,
-) -> np.ndarray:
-    """Parallel core distances: build the k-NN tree on the driver,
-    broadcast it, and fan its leaves out in contiguous ranges, each
-    solved by ``leaf_kth_distances`` as on the driver.
+def core_distances_spark(spark: SparkSession, tree: KDTree, min_pts: int) -> np.ndarray:
+    """Parallel core distances over the run's ``tree``: broadcast it and
+    fan its k-NN blocks out in contiguous ranges, each solved by
+    ``block_kth_distances`` as on the driver.
 
     Mirrors the paper's parallel k-NN step (Section 3.2.1); returns
     cd[i] for every original point id i.
     """
-    from ..geometry import kdtree as kdt
-    from ..geometry.knn import core_distances, leaf_kth_distances, sorted_leaves
+    from ..geometry.knn import block_kth_distances, blocks, core_distances
 
-    pts = np.ascontiguousarray(np.asarray(points, dtype=np.float64))
-    n = pts.shape[0]
+    n = tree.n
     if n < _MIN_PARALLEL_POINTS:
-        return core_distances(pts, min_pts, leaf_size)
+        return core_distances(tree, min_pts)
     if not 1 <= min_pts <= n:
         raise ValueError("minPts must be between 1 and the number of points")
-    tree = kdt.build(pts, leaf_size=leaf_size)
-    n_leaves = sorted_leaves(tree).size
-    par = min(n_chunks or 4 * spark.sparkContext.defaultParallelism, n_leaves)
-    bounds = np.linspace(0, n_leaves, par + 1, dtype=np.int64)
+    n_blocks = blocks(tree).size
+    par = min(4 * spark.sparkContext.defaultParallelism, n_blocks)
+    bounds = np.linspace(0, n_blocks, par + 1, dtype=np.int64)
     bc = spark.sparkContext.broadcast(tree)
     k = int(min_pts)
 
     def compute(batches):
         t = bc.value
-        leaves = sorted_leaves(t)
+        every = blocks(t)
         for b_pdf in batches:
             for a, z in zip(b_pdf["first"].to_numpy(), b_pdf["last"].to_numpy()):
-                rows = np.arange(t.lo[leaves[a]], t.hi[leaves[z - 1]])
-                cds = leaf_kth_distances(t, leaves[a:z], k)
+                rows = np.arange(t.lo[every[a]], t.hi[every[z - 1]])
+                cds = block_kth_distances(t, every[a:z], k)
                 yield pd.DataFrame({"row": rows, "cd": cds})
 
     pdf = pd.DataFrame({"first": bounds[:-1], "last": bounds[1:]})

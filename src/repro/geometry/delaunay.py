@@ -61,10 +61,12 @@ def delaunay_edges(points: np.ndarray, seed: int = 0) -> np.ndarray:
     if n == 2:
         return np.array([[0, 1]], dtype=np.int64)
 
-    lo = pts.min(axis=0)
+    # Relative to the min corner: far from the origin, cancellation in
+    # the circumcircles' squared coordinates would eat every digit.
+    pts = pts - pts.min(axis=0)
     hi = pts.max(axis=0)
-    span = float(np.max(hi - lo)) or 1.0
-    mid = 0.5 * (lo + hi)
+    span = float(np.max(hi)) or 1.0
+    mid = 0.5 * hi
     # Super-triangle comfortably containing every circumcircle of interest.
     sup = mid + span * np.array([[0.0, 64.0], [-64.0, -64.0], [64.0, -64.0]])
     P = np.vstack([pts, sup])

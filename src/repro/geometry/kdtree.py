@@ -3,7 +3,8 @@
 This is the substrate used by every algorithm in the paper: WSPD
 construction (Algorithm 1), the GetRho/GetPairs pruned traversals of
 MemoGFK (Algorithm 3), k-NN core-distance queries, and the dual-tree
-Boruvka baseline. Nodes are stored in flat NumPy arrays so the whole
+Boruvka baseline; a run builds it once (k-NN and Boruvka scan nodes
+capped by size). Nodes are stored in flat NumPy arrays so the whole
 tree can be pickled into a Spark broadcast variable and traversed
 cheaply inside executors.
 
@@ -135,41 +136,38 @@ def check_points(points: np.ndarray) -> np.ndarray:
     return pts
 
 
-def build(points: np.ndarray, leaf_size: int = 1) -> KDTree:
-    """Build a spatial-median kd-tree over ``points`` (n, d).
+def build(points: np.ndarray) -> KDTree:
+    """Build the spatial-median kd-tree over ``points`` (n, d), with one
+    point per leaf: 2n - 1 nodes, so the arrays are allocated up front.
 
     Iterative (explicit stack) so that skewed inputs cannot overflow
-    Python's recursion limit. O(n log n) expected. ``leaf_size=1``
-    matches the paper's WSPD tree; k-NN uses a coarser tree for speed.
+    Python's recursion limit. O(n log n) expected. An internal node's
+    bounding box is the min/max its split computes; a leaf's is its point.
     """
     # Always copy: the build reorders rows in place, and the caller's
     # array must stay in original-id order (edge ids refer to it).
     pts = check_points(points)
-    n = pts.shape[0]
+    n, d = pts.shape
     perm = np.arange(n, dtype=np.int64)
-
-    left: list[int] = []
-    right: list[int] = []
-    los: list[int] = []
-    his: list[int] = []
-    # Stack of (node_id, lo, hi); children are allocated when popped.
-    def new_node(lo: int, hi: int) -> int:
-        left.append(-1)
-        right.append(-1)
-        los.append(lo)
-        his.append(hi)
-        return len(left) - 1
-
-    root = new_node(0, n)
-    stack = [root]
+    m = 2 * n - 1
+    left = np.full(m, -1, dtype=np.int32)
+    right = np.full(m, -1, dtype=np.int32)
+    los = np.empty(m, dtype=np.int64)
+    his = np.empty(m, dtype=np.int64)
+    bb_min = np.empty((m, d))
+    bb_max = np.empty((m, d))
+    los[0], his[0] = 0, n
+    # Children are numbered when their parent is split, in pop order.
+    used = 1
+    stack = [0]
     while stack:
         node = stack.pop()
-        lo, hi = los[node], his[node]
-        if hi - lo <= leaf_size:
+        lo, hi = int(los[node]), int(his[node])
+        if hi - lo == 1:
             continue
         seg = pts[lo:hi]
-        mn = seg.min(axis=0)
-        mx = seg.max(axis=0)
+        mn = bb_min[node] = seg.min(axis=0)
+        mx = bb_max[node] = seg.max(axis=0)
         widths = mx - mn
         dim = int(np.argmax(widths))
         if widths[dim] <= 0.0:
@@ -189,40 +187,26 @@ def build(points: np.ndarray, leaf_size: int = 1) -> KDTree:
                 order = np.argsort(~mask, kind="stable")  # True (left) first
         pts[lo:hi] = seg[order]
         perm[lo:hi] = perm[lo:hi][order]
-        l = new_node(lo, lo + mid)
-        r = new_node(lo + mid, hi)
-        left[node] = l
-        right[node] = r
+        l, r = used, used + 1
+        used += 2
+        left[node], right[node] = l, r
+        los[l], his[l], los[r], his[r] = lo, lo + mid, lo + mid, hi
         stack.append(l)
         stack.append(r)
 
-    left_a = np.asarray(left, dtype=np.int32)
-    right_a = np.asarray(right, dtype=np.int32)
-    lo_a = np.asarray(los, dtype=np.int64)
-    hi_a = np.asarray(his, dtype=np.int64)
-    m = left_a.shape[0]
-    d = pts.shape[1]
-    bb_min = np.empty((m, d))
-    bb_max = np.empty((m, d))
-    # Every node owns a contiguous range, so bboxes come straight from
-    # the reordered array (vectorized per node; m <= 2n).
-    for i in range(m):
-        seg = pts[lo_a[i] : hi_a[i]]
-        bb_min[i] = seg.min(axis=0)
-        bb_max[i] = seg.max(axis=0)
-    center = 0.5 * (bb_min + bb_max)
-    radius = 0.5 * np.linalg.norm(bb_max - bb_min, axis=1)
+    leaves = left < 0
+    bb_min[leaves] = bb_max[leaves] = pts[los[leaves]]
     return KDTree(
         pts=pts,
         perm=perm,
-        left=left_a,
-        right=right_a,
-        lo=lo_a,
-        hi=hi_a,
+        left=left,
+        right=right,
+        lo=los,
+        hi=his,
         bb_min=bb_min,
         bb_max=bb_max,
-        center=center,
-        radius=radius,
+        center=0.5 * (bb_min + bb_max),
+        radius=0.5 * np.linalg.norm(bb_max - bb_min, axis=1),
     )
 
 

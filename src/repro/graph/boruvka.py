@@ -20,6 +20,9 @@ from ..core.gfk import mono_labels
 from ..geometry import kdtree as kdt
 from .unionfind import UnionFind
 
+# Nodes with at most this many points are scanned whole, not descended.
+_BLOCK = 32
+
 
 def _nearest_other(
     tree: kdt.KDTree,
@@ -44,7 +47,7 @@ def _nearest_other(
         d2, node = stack.pop()
         if d2 >= best_d2 or mono[node] == my_label:
             continue
-        if left[node] < 0:
+        if hi[node] - lo[node] <= _BLOCK:
             seg = tree.pts[lo[node] : hi[node]]
             diff = seg - q
             dd = np.einsum("ij,ij->i", diff, diff)
@@ -68,12 +71,11 @@ def _nearest_other(
     return (np.sqrt(best_d2) if best_i >= 0 else np.inf), best_i
 
 
-def emst_boruvka(points: np.ndarray, leaf_size: int = 32) -> np.ndarray:
+def emst_boruvka(points: np.ndarray) -> np.ndarray:
     """EMST via Boruvka rounds with kd-tree component-pruned nearest-
     neighbor queries. Returns (n-1, 3) [u, v, w] rows."""
-    pts = np.ascontiguousarray(np.asarray(points, dtype=np.float64))
-    n = pts.shape[0]
-    tree = kdt.build(pts.copy(), leaf_size=leaf_size)
+    tree = kdt.build(points)
+    n = tree.n
     uf = UnionFind(n)
     out: list[tuple[int, int, float]] = []
     while uf.n_components > 1:

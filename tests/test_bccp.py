@@ -13,7 +13,7 @@ from repro.geometry import kdtree as kdt
 def _tree(n=150, d=3, seed=0, with_cd=True):
     rng = np.random.default_rng(seed)
     pts = rng.random((n, d)) * 10
-    t = kdt.build(pts, leaf_size=1)
+    t = kdt.build(pts)
     if with_cd:
         kdt.attach_core_distances(t, rng.random(n) * 4)
     return t
@@ -115,7 +115,7 @@ def _wspd_tree(d, n=320, seed=0, dup=0):
     pts = rng.random((n, d)) * 10 + 1000.0 * (np.arange(n) * 4 // n)[:, None]
     if dup:
         pts[-dup:] = pts[:dup]
-    t = kdt.build(pts, leaf_size=1)
+    t = kdt.build(pts)
     kdt.attach_core_distances(t, rng.random(n))
     return t, wspd(t, "s2")
 

@@ -7,6 +7,8 @@ import pytest
 from repro import synth_data as sd
 from repro.core import bccp as bccp_mod
 from repro.core.emst import emst_delaunay, emst_gfk, emst_memogfk, emst_naive
+from repro.core.hdbscan import hdbscan_mst
+from repro.core.optics import optics_approx_mst
 from repro.graph.boruvka import emst_boruvka
 from repro.graph.prim import mst_bruteforce
 
@@ -16,6 +18,8 @@ METHODS = {
     "memogfk": lambda pts: emst_memogfk(pts)[0],
     "boruvka": emst_boruvka,
 }
+# Delaunay is 2D only, so it joins the tests whose inputs are 2D.
+METHODS_2D = {**METHODS, "delaunay": lambda pts: emst_delaunay(pts)[0]}
 
 
 def _dataset(dist, n, d, seed):
@@ -83,11 +87,13 @@ def test_gfk_computes_fewer_bccps_than_naive():
 
 
 def test_emst_tiny_inputs():
-    for n in (2, 3):
+    for n in (1, 2, 3):
         pts = np.random.default_rng(n).random((n, 2))
-        for name in ("naive", "gfk", "memogfk"):
-            edges = METHODS[name](pts)
-            assert edges.shape == (n - 1, 3)
+        for name, fn in METHODS_2D.items():
+            assert fn(pts).shape == (n - 1, 3), (name, n)
+        for method in ("memogfk", "gantao"):
+            assert hdbscan_mst(pts, 1, method=method)[0].shape == (n - 1, 3), (method, n)
+        assert optics_approx_mst(pts, 1)[0].shape == (n - 1, 3), ("optics", n)
 
 
 def test_emst_collinear_points():
@@ -107,6 +113,14 @@ def test_emst_with_duplicates():
         assert np.allclose(np.sort(edges[:, 2]), ref), name
 
 
+def test_delaunay_rejects_collinear_points():
+    """All-collinear input has no triangles; EMST-Delaunay must fail
+    rather than return a tree that does not span."""
+    pts = np.column_stack([np.arange(50.0), 2.0 * np.arange(50.0)])
+    with pytest.raises(ValueError, match="span"):
+        emst_delaunay(pts)
+
+
 def test_delaunay_rejects_non_2d():
     with pytest.raises(ValueError):
         emst_delaunay(np.zeros((10, 3)))
@@ -124,16 +138,18 @@ def test_delaunay_shares_the_point_check(pts, msg):
 
 
 @pytest.mark.parametrize("small_cells", [None, 0], ids=["batched", "matmul"])
-@pytest.mark.parametrize("name", ["naive", "gfk", "memogfk"])
+@pytest.mark.parametrize("name", ["naive", "gfk", "memogfk", "delaunay", "boruvka"])
 def test_emst_survives_large_translation(monkeypatch, name, small_cells):
     """Far from the origin the expanded |p|^2 + |q|^2 - 2 p.q form loses
-    every cross distance to cancellation; the MST weight must not move,
-    also with every pair sent through the matmul kernels."""
+    every cross distance to cancellation (as do Delaunay's circumcircles);
+    the MST weight must not move, also with every pair sent through the
+    matmul kernels."""
     if small_cells is not None:
         monkeypatch.setattr(bccp_mod, "_SMALL_CELLS", small_cells)
     pts = np.random.default_rng(0).random((300, 2))
     ref = mst_bruteforce(pts)[:, 2].sum()
-    edges = METHODS[name](pts + 1e9)
+    edges = METHODS_2D[name](pts + 1e9)
+    assert edges.shape == (299, 3)
     assert np.isclose(edges[:, 2].sum(), ref, rtol=1e-6, atol=0)
 
 
@@ -144,6 +160,5 @@ def test_emst_survives_large_translation(monkeypatch, name, small_cells):
 def test_emst_rejects_non_finite_points(method, bad):
     pts = np.random.default_rng(1).random((50, 2))
     pts[17, 1] = bad
-    fn = METHODS.get(method, lambda p: emst_delaunay(p)[0])
     with pytest.raises(ValueError, match="finite"):
-        fn(pts)
+        METHODS_2D[method](pts)

@@ -13,7 +13,7 @@ from repro.graph.unionfind import UnionFind
 
 def _tree(n=300, d=2, seed=0):
     pts = np.random.default_rng(seed).random((n, d)) * 10
-    return kdt.build(pts, leaf_size=1)
+    return kdt.build(pts)
 
 
 def _random_uf(n, merges, seed=0):

@@ -12,6 +12,8 @@ from repro.core.hdbscan import (
     mutual_reachability_bruteforce,
     wspd_pair_counts,
 )
+from repro.core.optics import optics_approx_mst
+from repro.geometry import kdtree as kdt
 from repro.geometry.knn import core_distances
 from repro.graph.prim import mst_bruteforce, mst_bruteforce_mutual
 from repro.graph.unionfind import UnionFind
@@ -40,7 +42,7 @@ def _dataset(dist, n, d, seed):
 @pytest.mark.parametrize("dist,n,d,mp", CASES)
 def test_hdbscan_mst_matches_prim(method, dist, n, d, mp):
     pts = _dataset(dist, n, d, seed=n + d + mp)
-    cd = core_distances(pts, mp)
+    cd = core_distances(kdt.build(pts), mp)
     ref = np.sort(mst_bruteforce_mutual(pts, cd)[:, 2])
     edges, cd_out, _ = hdbscan_mst(pts, mp, method=method)
     assert np.allclose(cd_out, cd)
@@ -64,7 +66,7 @@ def test_emst_weight_valid_for_small_min_pts(mp):
     """Theorem D.1: for minPts <= 3 the EMST is an MST of the mutual
     reachability graph — so both have the same total weight under d_m."""
     pts = sd.uniform_fill(250, 2, seed=mp)
-    cd = core_distances(pts, mp)
+    cd = core_distances(kdt.build(pts), mp)
     emst = mst_bruteforce(pts)
     w_emst = sum(
         max(w, cd[int(u)], cd[int(v)]) for u, v, w in emst
@@ -163,3 +165,28 @@ def test_hdbscan_rejects_non_finite_points(method, bad):
 def test_hdbscan_rejects_min_pts_below_1(method, min_pts):
     with pytest.raises(ValueError, match="minPts"):
         hdbscan_mst(sd.uniform_fill(50, 2, seed=2), min_pts, method=method)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda pts: hdbscan_mst(pts, 10, method="memogfk"),
+        lambda pts: hdbscan_mst(pts, 10, method="gantao"),
+        lambda pts: optics_approx_mst(pts, 10),
+        lambda pts: wspd_pair_counts(pts, 10),
+    ],
+    ids=["memogfk", "gantao", "optics", "wspd_pair_counts"],
+)
+def test_one_kdtree_per_run(monkeypatch, run):
+    """The k-NN, the WSPD traversals and the BCCP* kernels all run on
+    one kd-tree: a run builds exactly one."""
+    calls = []
+    build = kdt.build
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(kdt, "build", counting)
+    run(sd.uniform_fill(300, 2, seed=1))
+    assert len(calls) == 1

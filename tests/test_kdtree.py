@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geometry import kdtree as kdt
+from repro.geometry import knn
 from repro.geometry.knn import core_distances
 
 DIMS = [1, 2, 3, 5, 7]
@@ -21,7 +22,7 @@ def tree_cases():
     for d in DIMS:
         for n in SIZES:
             pts = _pts(n, d, seed=d * 100 + n)
-            cases[(n, d)] = (pts, kdt.build(pts.copy(), leaf_size=1))
+            cases[(n, d)] = (pts, kdt.build(pts.copy()))
     return cases
 
 
@@ -75,7 +76,7 @@ def test_bboxes_tight(tree_cases, n, d):
 @pytest.mark.parametrize("d", [2, 3, 5])
 def test_node_dist_bounds_cross_distances(d):
     pts = _pts(200, d, seed=7)
-    t = kdt.build(pts, leaf_size=1)
+    t = kdt.build(pts)
     rng = np.random.default_rng(1)
     internal = np.flatnonzero(t.left >= 0)
     for _ in range(50):
@@ -89,7 +90,7 @@ def test_node_dist_bounds_cross_distances(d):
 
 def test_duplicate_points_build():
     pts = np.zeros((64, 3))
-    t = kdt.build(pts, leaf_size=1)
+    t = kdt.build(pts)
     assert np.all((t.hi - t.lo)[t.left < 0] == 1)
     assert np.allclose(t.radius, 0.0)
 
@@ -103,18 +104,29 @@ def test_build_rejects_non_finite_points(bad):
 
 
 def test_leaf_size_respected():
+    """k-NN blocks tile [0, n) in row order, each holds at most the cap,
+    and each one's parent holds more."""
     pts = _pts(300, 3, seed=9)
-    t = kdt.build(pts, leaf_size=16)
-    sizes = (t.hi - t.lo)[t.left < 0]
-    assert sizes.max() <= 16
+    t = kdt.build(pts)
+    b = knn.blocks(t)
+    assert t.lo[b[0]] == 0 and t.hi[b[-1]] == 300
+    assert np.array_equal(t.lo[b[1:]], t.hi[b[:-1]])
+    sizes = t.hi[b] - t.lo[b]
+    assert sizes.max() <= knn._BLOCK
     assert sizes.min() >= 1
+    parent = np.full(t.n_nodes, -1)
+    internal = np.flatnonzero(t.left >= 0)
+    parent[t.left[internal]] = internal
+    parent[t.right[internal]] = internal
+    assert (b != 0).all()
+    assert ((t.hi - t.lo)[parent[b]] > knn._BLOCK).all()
 
 
 @pytest.mark.parametrize("min_pts", [1, 2, 5])
 def test_attach_core_distances_node_summaries(min_pts):
     pts = _pts(150, 3, seed=4)
-    cd = core_distances(pts, min_pts)
-    t = kdt.build(pts.copy(), leaf_size=1)
+    t = kdt.build(pts.copy())
+    cd = core_distances(t, min_pts)
     kdt.attach_core_distances(t, cd)
     cd_re = cd[t.perm]
     for v in range(t.n_nodes):
@@ -125,7 +137,7 @@ def test_attach_core_distances_node_summaries(min_pts):
 
 def test_well_separated_scalar_definition():
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [10.0, 0.0], [11.0, 0.0]])
-    t = kdt.build(pts.copy(), leaf_size=1)
+    t = kdt.build(pts.copy())
     root_l, root_r = int(t.left[0]), int(t.right[0])
     # Clusters {0,1} and {10,11}: radius 0.5 each, center gap 10
     # => gap - 2*rmax = 9 >= 2 * 0.5: well separated at s=2.
@@ -141,7 +153,7 @@ def test_well_separated_scalar_definition():
 )
 def test_build_invariants_hypothesis(n, d, seed):
     pts = np.random.default_rng(seed).normal(size=(n, d)) * 5
-    t = kdt.build(pts.copy(), leaf_size=1)
+    t = kdt.build(pts.copy())
     assert np.array_equal(np.sort(t.perm), np.arange(n))
     assert t.n_nodes == 2 * n - 1
     leaves = t.left < 0

@@ -5,6 +5,7 @@ import pytest
 
 from repro import synth_data as sd
 from repro.core.optics import optics_approx_mst
+from repro.geometry import kdtree as kdt
 from repro.geometry.knn import core_distances
 from repro.graph.prim import mst_bruteforce_mutual
 
@@ -15,7 +16,7 @@ def test_weight_within_approximation_factor(rho, n, d, mp):
     """Every approximate edge weight is within [d_m/(1+rho), d_m], so
     the approximate MST weight W' satisfies W/(1+rho) <= W' <= W."""
     pts = sd.uniform_fill(n, d, seed=n + int(rho * 8))
-    cd = core_distances(pts, mp)
+    cd = core_distances(kdt.build(pts), mp)
     exact = mst_bruteforce_mutual(pts, cd)[:, 2].sum()
     edges, _, _ = optics_approx_mst(pts, mp, rho=rho)
     approx = edges[:, 2].sum()
@@ -48,7 +49,7 @@ def test_small_nodes_fully_connected():
     n = 40
     pts = sd.uniform_fill(n, 2, seed=4)
     mp = n  # forces |A| < minPts and |B| < minPts everywhere
-    cd = core_distances(pts, mp)
+    cd = core_distances(kdt.build(pts), mp)
     edges, _, stats = optics_approx_mst(pts, mp, rho=0.125)
     # cd is the max pairwise distance scale here; all d_m = max cd terms
     ref = mst_bruteforce_mutual(pts, cd)[:, 2].sum()
@@ -58,12 +59,11 @@ def test_small_nodes_fully_connected():
 def test_larger_s_means_more_pairs_than_exact():
     """rho=0.125 -> s=8 must produce far more WSPD pairs than s=2 (the
     paper's explanation for the approximate method being *slower*)."""
-    from repro.core.hdbscan import build_hdbscan_tree
+    from repro.core.hdbscan import core_tree
     from repro.core.wspd import wspd
 
     pts = sd.uniform_fill(400, 2, seed=5)
-    cd = core_distances(pts, 10)
-    tree = build_hdbscan_tree(pts, cd)
+    tree, _ = core_tree(pts, 10)
     assert wspd(tree, 8.0).shape[0] > 3 * wspd(tree, "s2").shape[0]
 
 

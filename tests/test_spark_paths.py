@@ -69,27 +69,27 @@ def test_emst_spark_equals_sequential(spark, forced, midsize, fn):
 
 
 def test_core_distances_spark_equals_sequential(spark, forced):
-    pts = sd.ss_varden(6000, 3, seed=5)
+    tree = kdt.build(sd.ss_varden(6000, 3, seed=5))
     for min_pts in (1, 10):
         with spark_jobs(spark) as jobs:
-            got = core_distances_spark(spark, pts, min_pts)
+            got = core_distances_spark(spark, tree, min_pts)
         assert len(jobs) == 1
-        assert np.array_equal(got, cd_seq(pts, min_pts))
+        assert np.array_equal(got, cd_seq(tree, min_pts))
 
 
 def test_core_distances_spark_rejects_min_pts_below_1(spark):
-    pts = sd.uniform_fill(100, 2, seed=3)
+    tree = kdt.build(sd.uniform_fill(100, 2, seed=3))
     for min_pts in (0, -1):
         with pytest.raises(ValueError, match="minPts"):
-            core_distances_spark(spark, pts, min_pts)
+            core_distances_spark(spark, tree, min_pts)
 
 
 def test_core_distances_dispatch(spark):
-    pts = sd.uniform_fill(500, 2, seed=3)  # below the break-even: driver path
+    tree = kdt.build(sd.uniform_fill(500, 2, seed=3))  # below the break-even: driver path
     with spark_jobs(spark) as jobs:
-        got = core_distances(pts, 5, spark=spark)
+        got = core_distances(tree, 5, spark=spark)
     assert not jobs
-    assert np.array_equal(got, cd_seq(pts, 5))
+    assert np.array_equal(got, cd_seq(tree, 5))
 
 
 @pytest.mark.parametrize("method", ["memogfk", "gantao"])
@@ -108,9 +108,8 @@ def test_spark_bccp_many_matches_local(spark, forced, midsize):
     from repro.core import bccp as bccp_mod
     from repro.core.wspd import wspd
 
-    cd = cd_seq(midsize, 10)
-    tree = kdt.build(midsize, leaf_size=1)
-    kdt.attach_core_distances(tree, cd)
+    tree = kdt.build(midsize)
+    kdt.attach_core_distances(tree, cd_seq(tree, 10))
     pairs = wspd(tree, "s2")[:3000]
     ctx = SparkBccp(spark, tree)
     try:
@@ -164,7 +163,7 @@ def test_dendrogram_spark_bit_identical_to_topdown(spark, forced, varden_mst):
 def test_spark_bccp_small_batch_runs_on_driver(spark, midsize):
     """Tiny batches short-circuit to the driver (granularity control);
     results must be identical either way."""
-    tree = kdt.build(midsize[:200], leaf_size=1)
+    tree = kdt.build(midsize[:200])
     ctx = SparkBccp(spark, tree)
     try:
         internal = np.flatnonzero(tree.left >= 0)
@@ -185,7 +184,7 @@ def test_spark_bccp_small_batch_runs_on_driver(spark, midsize):
 def test_spark_bccp_largest_pair_is_not_spread(spark, monkeypatch, midsize):
     """A batch fans out only when its cells outside the largest pair
     (which one executor takes whole) reach the break-even."""
-    tree = kdt.build(midsize, leaf_size=1)
+    tree = kdt.build(midsize)
     internal = np.flatnonzero(tree.left >= 0)[:5]
     pairs = np.column_stack([tree.left[internal], tree.right[internal]])
     sz = tree.hi - tree.lo

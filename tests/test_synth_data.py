@@ -57,10 +57,11 @@ def test_uniform_fill_side_length():
 def test_ss_varden_is_clustered():
     """Variable-density clusters: median nearest-neighbor distance must
     be far below the uniform expectation over the same bounding box."""
+    from repro.geometry import kdtree as kdt
     from repro.geometry.knn import core_distances
 
     pts = sd.ss_varden(2000, 2, seed=0)
-    nn = core_distances(pts, 2)
+    nn = core_distances(kdt.build(pts), 2)
     bbox_span = np.prod(pts.max(axis=0) - pts.min(axis=0))
     uniform_nn = 0.5 * np.sqrt(bbox_span / 2000)
     assert np.median(nn) < uniform_nn / 4

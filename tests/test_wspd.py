@@ -24,7 +24,7 @@ SIZES = [2, 3, 10, 64, 300]
 
 def _tree(n, d, seed=0):
     pts = np.random.default_rng(seed).random((n, d)) * 15
-    return kdt.build(pts, leaf_size=1)
+    return kdt.build(pts)
 
 
 def _covered_pairs(tree, pairs) -> pd.DataFrame:
@@ -93,9 +93,8 @@ def test_hdbscan_separation_is_superset_and_smaller(min_pts):
     separation, so (a) every s2-separated pair stays separated, and (b)
     the WSPD it yields is no larger (Section 3.2.2's space claim)."""
     pts = sd.ss_varden(600, 3, seed=3)
-    cd = core_distances(pts, min_pts)
-    tree = kdt.build(pts, leaf_size=1)
-    kdt.attach_core_distances(tree, cd)
+    tree = kdt.build(pts)
+    kdt.attach_core_distances(tree, core_distances(tree, min_pts))
     p_std = wspd(tree, "s2")
     p_new = wspd(tree, "hdbscan")
     assert p_new.shape[0] <= p_std.shape[0]
@@ -136,7 +135,7 @@ def test_pair_helpers():
 
 def test_duplicate_points_recorded_as_pairs():
     pts = np.zeros((8, 2))
-    tree = kdt.build(pts, leaf_size=1)
+    tree = kdt.build(pts)
     pairs = wspd(tree, "s2")
     covered = _covered_pairs(tree, pairs)
     assert len(covered.drop_duplicates()) == 8 * 7 // 2
