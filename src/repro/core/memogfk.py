@@ -35,6 +35,7 @@ from .gfk import GfkStats, compute_bccps, mono_labels
 from .wspd import (
     root_seeds,
     split_frontier,
+    v_center_dist,
     v_gap,
     v_gap_max,
     v_well_separated,
@@ -74,17 +75,27 @@ class BccpCache:
         return out
 
 
-def _v_bounds(
-    tree: KDTree, A: np.ndarray, B: np.ndarray, star: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized (lower, upper) bounds on BCCP/BCCP* per frontier pair
-    (Figure 3a: the pair's line-segment representation)."""
-    lb = v_gap(tree, A, B)
-    ub = v_gap_max(tree, A, B)
+def _v_lower(
+    tree: KDTree, A: np.ndarray, B: np.ndarray, star: bool, c: np.ndarray
+) -> np.ndarray:
+    """Vectorized lower bound on BCCP/BCCP* per frontier pair with
+    center distances ``c`` (Figure 3a: the pair's line-segment
+    representation)."""
+    lb = v_gap(tree, A, B, c)
     if star:
         lb = np.maximum(lb, np.maximum(tree.cd_min[A], tree.cd_min[B]))
+    return lb
+
+
+def _v_bounds(
+    tree: KDTree, A: np.ndarray, B: np.ndarray, star: bool, c: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized (lower, upper) bounds on BCCP/BCCP* per frontier pair
+    with center distances ``c``."""
+    ub = v_gap_max(tree, A, B, c)
+    if star:
         ub = np.maximum(ub, np.maximum(tree.cd_max[A], tree.cd_max[B]))
-    return lb, ub
+    return _v_lower(tree, A, B, star, c), ub
 
 
 def _seeds(tree: KDTree, mono: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -114,12 +125,13 @@ def get_rho(
         A, B = A[keep], B[keep]
         if not A.size:
             break
-        lb, _ = _v_bounds(tree, A, B, star)
+        c = v_center_dist(tree, A, B)
+        lb = _v_lower(tree, A, B, star, c)
         live = lb < rho_hi
-        A, B, lb = A[live], B[live], lb[live]
+        A, B, lb, c = A[live], B[live], lb[live], c[live]
         if not A.size:
             break
-        ws = v_well_separated(tree, A, B, kind)
+        ws = v_well_separated(tree, A, B, kind, c)
         if np.any(ws):
             rho_hi = min(rho_hi, float(lb[ws].min()))  # WRITEMIN
         A, B, stuck = split_frontier(tree, A[~ws], B[~ws])
@@ -147,6 +159,11 @@ def get_pairs(
     already in one component. Well-separated survivors get their BCCP
     computed (one ``bccp_batch`` call, or one Spark fan-out) and
     cached; only in-range ones are materialized as edges.
+
+    A pair is in range when its weight clamped into the pair's own
+    [lb, ub] is: the traversal prunes on those bounds, so a weight that
+    disagrees with them in the last bit cannot make every round drop
+    the edge. The edge keeps its true weight.
     """
     candidates: list[np.ndarray] = []
     A, B = _seeds(tree, mono)
@@ -155,24 +172,28 @@ def get_pairs(
         A, B = A[keep], B[keep]
         if not A.size:
             break
-        lb, ub = _v_bounds(tree, A, B, star)
+        c = v_center_dist(tree, A, B)
+        lb, ub = _v_bounds(tree, A, B, star, c)
         live = (ub >= rho_lo) & (lb < rho_hi)
-        A, B = A[live], B[live]
+        A, B, c = A[live], B[live], c[live]
         if not A.size:
             break
-        ws = v_well_separated(tree, A, B, kind)
+        ws = v_well_separated(tree, A, B, kind, c)
         if np.any(ws):
             candidates.append(np.stack([A[ws], B[ws]], axis=1))
         A, B, stuck = split_frontier(tree, A[~ws], B[~ws])
         if stuck.size:
-            candidates.append(stuck)  # coincident singletons: w = 0 edges
+            candidates.append(stuck)  # coincident singletons
     if not candidates:
         return np.empty((0, 3))
     cand = np.concatenate(candidates, axis=0)
     stats.pairs_materialized = max(stats.pairs_materialized, cand.shape[0])
 
     edges = cache.edges_of(tree, cand, star, stats, spark_ctx)
-    return edges[(rho_lo <= edges[:, 2]) & (edges[:, 2] < rho_hi)]
+    A, B = cand[:, 0], cand[:, 1]
+    lb, ub = _v_bounds(tree, A, B, star, v_center_dist(tree, A, B))
+    w = np.clip(edges[:, 2], lb, ub)
+    return edges[(rho_lo <= w) & (w < rho_hi)]
 
 
 def memogfk_mst(

@@ -31,29 +31,39 @@ class PairBudgetExceeded(RuntimeError):
 
 
 def v_center_dist(tree: KDTree, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    d = tree.center[A] - tree.center[B]
+    """Distance between the bounding-sphere centers of every frontier
+    pair: the one per-pair distance a traversal level computes; the
+    bounds and the separation predicate below are derived from it."""
+    # np.take gathers rows about twice as fast as fancy indexing.
+    d = np.take(tree.center, A, axis=0)
+    d -= np.take(tree.center, B, axis=0)
     return np.sqrt(np.einsum("ij,ij->i", d, d))
 
 
-def v_gap(tree: KDTree, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Paper's d(A, B): min distance between bounding spheres, >= 0."""
-    g = v_center_dist(tree, A, B) - tree.radius[A] - tree.radius[B]
+def v_gap(tree: KDTree, A: np.ndarray, B: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Paper's d(A, B): min distance between bounding spheres, >= 0,
+    from the center distances ``c``."""
+    g = c - tree.radius[A] - tree.radius[B]
     return np.maximum(g, 0.0)
 
 
-def v_gap_max(tree: KDTree, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Paper's d_max(A, B): max distance between bounding spheres."""
-    return v_center_dist(tree, A, B) + tree.radius[A] + tree.radius[B]
+def v_gap_max(
+    tree: KDTree, A: np.ndarray, B: np.ndarray, c: np.ndarray
+) -> np.ndarray:
+    """Paper's d_max(A, B): max distance between bounding spheres, from
+    the center distances ``c``."""
+    return c + tree.radius[A] + tree.radius[B]
 
 
 def v_well_separated(
-    tree: KDTree, A: np.ndarray, B: np.ndarray, kind: str | float
+    tree: KDTree, A: np.ndarray, B: np.ndarray, kind: str | float, c: np.ndarray
 ) -> np.ndarray:
-    """Vectorized separation predicate for frontier arrays A, B."""
+    """Vectorized separation predicate for frontier arrays A, B with
+    center distances ``c``."""
     if kind == "hdbscan":
         if tree.cd_min is None:
             raise ValueError("hdbscan separation needs attach_core_distances()")
-        gap = v_gap(tree, A, B)
+        gap = v_gap(tree, A, B, c)
         diam = 2.0 * np.maximum(tree.radius[A], tree.radius[B])
         geo = gap >= diam
         lhs = np.maximum(gap, np.maximum(tree.cd_min[A], tree.cd_min[B]))
@@ -61,7 +71,7 @@ def v_well_separated(
         return geo | (lhs >= rhs)
     s = 2.0 if kind == "s2" else float(kind)
     rmax = np.maximum(tree.radius[A], tree.radius[B])
-    return v_center_dist(tree, A, B) - 2.0 * rmax >= s * rmax
+    return c - 2.0 * rmax >= s * rmax
 
 
 def root_seeds(tree: KDTree) -> tuple[np.ndarray, np.ndarray]:
@@ -106,7 +116,7 @@ def wspd(
     out: list[np.ndarray] = []
     total = 0
     while A.size:
-        ws = v_well_separated(tree, A, B, kind)
+        ws = v_well_separated(tree, A, B, kind, v_center_dist(tree, A, B))
         if np.any(ws):
             rec = np.stack([A[ws], B[ws]], axis=1)
             out.append(rec)
@@ -131,7 +141,8 @@ def pair_point_count(tree: KDTree, pairs: np.ndarray) -> np.ndarray:
 
 def pair_node_dist(tree: KDTree, pairs: np.ndarray) -> np.ndarray:
     """Vectorized d(A, B) for an (k, 2) pair array."""
-    return v_gap(tree, pairs[:, 0], pairs[:, 1])
+    A, B = pairs[:, 0], pairs[:, 1]
+    return v_gap(tree, A, B, v_center_dist(tree, A, B))
 
 
 def separation_predicate(tree: KDTree, kind: str | float):

@@ -108,7 +108,8 @@ class KDTree:
         max{d(A,B), cd_min(A), cd_min(B)}
             >= max{A_diam, B_diam, cd_max(A), cd_max(B)}.
         """
-        assert self.cd_min is not None and self.cd_max is not None
+        if self.cd_min is None:
+            raise ValueError("hdbscan separation needs attach_core_distances()")
         lhs = max(self.node_dist(a, b), float(self.cd_min[a]), float(self.cd_min[b]))
         rhs = max(
             self.diam(a),
@@ -140,14 +141,23 @@ def build(points: np.ndarray) -> KDTree:
     """Build the spatial-median kd-tree over ``points`` (n, d), with one
     point per leaf: 2n - 1 nodes, so the arrays are allocated up front.
 
-    Iterative (explicit stack) so that skewed inputs cannot overflow
-    Python's recursion limit. O(n log n) expected. An internal node's
-    bounding box is the min/max its split computes; a leaf's is its point.
+    Level-synchronous, as the paper's parallel build: each pass splits
+    every segment of the frontier at once (one min/max ``reduceat`` for
+    the boxes, one cut per segment, one stable partition by (segment,
+    side)) and drops the size-1 segments; there is no recursion, and a
+    skewed input costs one pass per level. An internal node's bounding
+    box is the min/max its split computes; a leaf's is its point.
+
+    Node ids are those of a depth-first build that splits the right
+    child first: the internal node of rank k in that right-first
+    preorder gets children 2k + 1 (left) and 2k + 2 (right). Its right
+    child has rank k + 1 and its left child rank k + |right child|,
+    since a subtree of s points holds s - 1 internal nodes.
     """
-    # Always copy: the build reorders rows in place, and the caller's
-    # array must stay in original-id order (edge ids refer to it).
-    pts = check_points(points)
-    n, d = pts.shape
+    # The input stays in original-id order (edge ids refer to it); the
+    # tree's rows are a reordered copy.
+    src = check_points(points)
+    n, d = src.shape
     perm = np.arange(n, dtype=np.int64)
     m = 2 * n - 1
     left = np.full(m, -1, dtype=np.int32)
@@ -157,43 +167,57 @@ def build(points: np.ndarray) -> KDTree:
     bb_min = np.empty((m, d))
     bb_max = np.empty((m, d))
     los[0], his[0] = 0, n
-    # Children are numbered when their parent is split, in pop order.
-    used = 1
-    stack = [0]
-    while stack:
-        node = stack.pop()
-        lo, hi = int(los[node]), int(his[node])
-        if hi - lo == 1:
-            continue
-        seg = pts[lo:hi]
-        mn = bb_min[node] = seg.min(axis=0)
-        mx = bb_max[node] = seg.max(axis=0)
+    # Frontier of segments with >= 2 points: node id, preorder rank,
+    # first row and size.
+    node = np.zeros(1 if n > 1 else 0, dtype=np.int64)
+    rank = np.zeros_like(node)
+    lo = np.zeros_like(node)
+    size = np.full_like(node, n)
+    while node.size:
+        starts = np.cumsum(size) - size        # segment starts among active rows
+        seg = np.repeat(np.arange(node.size), size)
+        pos = np.arange(seg.size) - starts[seg]  # row offset in its segment
+        rows = lo[seg] + pos
+        sub = src[perm[rows]]
+        mn = bb_min[node] = np.minimum.reduceat(sub, starts, axis=0)
+        mx = bb_max[node] = np.maximum.reduceat(sub, starts, axis=0)
         widths = mx - mn
-        dim = int(np.argmax(widths))
-        if widths[dim] <= 0.0:
-            # All points identical: object-median split keeps progress.
-            mid = (hi - lo) // 2
-            order = np.arange(hi - lo)
-        else:
-            cut = 0.5 * (mn[dim] + mx[dim])
-            keys = seg[:, dim]
-            mask = keys < cut
-            mid = int(mask.sum())
-            if mid == 0 or mid == hi - lo:
-                # Duplicates piled on the midpoint: fall back to median.
-                mid = (hi - lo) // 2
-                order = np.argsort(keys, kind="stable")
-            else:
-                order = np.argsort(~mask, kind="stable")  # True (left) first
-        pts[lo:hi] = seg[order]
-        perm[lo:hi] = perm[lo:hi][order]
-        l, r = used, used + 1
-        used += 2
+        dim = np.argmax(widths, axis=1)
+        at = np.arange(node.size)
+        cut = 0.5 * (mn[at, dim] + mx[at, dim])
+        keys = sub[np.arange(seg.size), dim[seg]]
+        side = keys < cut[seg]                 # True: left child
+        mid = np.add.reduceat(side, starts, dtype=np.int64)
+        half = size // 2
+        flat = widths[at, dim] <= 0.0
+        # All points identical: object-median split in row order.
+        side[flat[seg]] = (pos < half[seg])[flat[seg]]
+        mid[flat] = half[flat]
+        # Duplicates piled on the midpoint: stable sort, object median.
+        stuck = ~flat & ((mid == 0) | (mid == size))
+        mid[stuck] = half[stuck]
+        # Stable partition by (segment, side): left rows first, then
+        # right rows, each in row order.
+        n_left = np.cumsum(side) - side        # left rows before each row
+        left_dest = n_left - n_left[starts][seg]
+        dest = lo[seg] + np.where(side, left_dest, mid[seg] + pos - left_dest)
+        if stuck.any():
+            fix = np.flatnonzero(stuck[seg])
+            order = np.lexsort((keys[fix], seg[fix]))
+            dest[fix[order]] = rows[fix]
+        perm[dest] = perm[rows]
+        l, r = 2 * rank + 1, 2 * rank + 2
         left[node], right[node] = l, r
-        los[l], his[l], los[r], his[r] = lo, lo + mid, lo + mid, hi
-        stack.append(l)
-        stack.append(r)
+        los[l], his[l], los[r], his[r] = lo, lo + mid, lo + mid, lo + size
+        size_r = size - mid
+        node = np.concatenate([l, r])
+        rank = np.concatenate([rank + size_r, rank + 1])
+        lo = np.concatenate([lo, lo + mid])
+        size = np.concatenate([mid, size_r])
+        split = size > 1
+        node, rank, lo, size = node[split], rank[split], lo[split], size[split]
 
+    pts = src[perm]
     leaves = left < 0
     bb_min[leaves] = bb_max[leaves] = pts[los[leaves]]
     return KDTree(
@@ -212,26 +236,17 @@ def build(points: np.ndarray) -> KDTree:
 
 def attach_core_distances(tree: KDTree, core_dist: np.ndarray) -> None:
     """Store per-point core distances (indexed by *original* id) and
-    fill per-node cd_min / cd_max bottom-up.
+    each node's cd_min / cd_max over its point range.
 
     This is the tree augmentation behind the paper's new notion of
     well-separation (Section 3.2.2).
     """
     cd = np.asarray(core_dist, dtype=np.float64)[tree.perm]
-    m = tree.n_nodes
-    cd_min = np.empty(m)
-    cd_max = np.empty(m)
-    # Children always have larger ids than their parent (allocation
-    # order), so a reverse scan is a valid bottom-up pass.
-    for i in range(m - 1, -1, -1):
-        if tree.left[i] < 0:
-            seg = cd[tree.lo[i] : tree.hi[i]]
-            cd_min[i] = seg.min()
-            cd_max[i] = seg.max()
-        else:
-            l, r = tree.left[i], tree.right[i]
-            cd_min[i] = min(cd_min[l], cd_min[r])
-            cd_max[i] = max(cd_max[l], cd_max[r])
+    # One reduceat over the interleaved [lo, hi) bounds of every node:
+    # its even outputs are the node ranges (cd gets a pad row so that
+    # hi = n is a valid index).
+    bounds = np.stack([tree.lo, tree.hi], axis=1).ravel()
+    padded = np.append(cd, 0.0)
     tree.cd = cd
-    tree.cd_min = cd_min
-    tree.cd_max = cd_max
+    tree.cd_min = np.minimum.reduceat(padded, bounds)[::2]
+    tree.cd_max = np.maximum.reduceat(padded, bounds)[::2]

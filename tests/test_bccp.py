@@ -6,7 +6,7 @@ import pytest
 from repro.core import bccp as bccp_mod
 from repro.core.bccp import bccp, bccp_batch, bccp_kernel, bccp_star
 from repro.core.memogfk import _v_bounds
-from repro.core.wspd import wspd
+from repro.core.wspd import v_center_dist, wspd
 from repro.geometry import kdtree as kdt
 
 
@@ -100,7 +100,7 @@ def test_star_bounds_bracket_bccp_star():
     t = _tree(seed=5)
     rng = np.random.default_rng(1)
     A, B = rng.integers(0, t.n_nodes, (2, 200))
-    lb, ub = _v_bounds(t, A, B, star=True)
+    lb, ub = _v_bounds(t, A, B, True, v_center_dist(t, A, B))
     for k in range(200):
         _, _, w = bccp_star(t, int(A[k]), int(B[k]))
         assert lb[k] <= w + 1e-9

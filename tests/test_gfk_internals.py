@@ -3,11 +3,16 @@ per-round traversal invariants that GFK/MemoGFK correctness rests on."""
 import numpy as np
 import pytest
 
+from repro.core import memogfk
 from repro.core.bccp import bccp, bccp_star
+from repro.core.emst import emst_memogfk
 from repro.core.gfk import GfkStats, mono_labels
+from repro.core.hdbscan import hdbscan_mst
 from repro.core.memogfk import BccpCache, get_pairs, get_rho
 from repro.core.wspd import wspd
 from repro.geometry import kdtree as kdt
+from repro.geometry.knn import core_distances
+from repro.graph.prim import mst_bruteforce, mst_bruteforce_mutual
 from repro.graph.unionfind import UnionFind
 
 
@@ -110,3 +115,31 @@ def test_gfk_stats_fields():
     assert s.rounds >= 1
     assert s.bccp_computed <= s.pairs_materialized
     assert s.bccp_work_cells >= s.bccp_computed
+
+
+@pytest.mark.parametrize(
+    "method,min_pts",
+    [("emst", 1), ("memogfk", 1), ("gantao", 1), ("memogfk", 4), ("gantao", 4)],
+)
+def test_memogfk_spans_when_weights_sit_one_ulp_below_bounds(monkeypatch, method, min_pts):
+    """A BCCP weight one ulp below its pair's lower bound must not make
+    every round drop the edge: on a 12x12 lattice (many pairs whose
+    weight equals their bound) MemoGFK must still return Prim's MST."""
+    exact = memogfk.compute_bccps
+
+    def one_ulp_low(*args):
+        edges = exact(*args).copy()
+        edges[:, 2] = np.nextafter(edges[:, 2], -np.inf)
+        return edges
+
+    monkeypatch.setattr(memogfk, "compute_bccps", one_ulp_low)
+    g = np.arange(12, dtype=np.float64)
+    pts = np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2)
+    if method == "emst":
+        edges = emst_memogfk(pts)[0]
+        ref = mst_bruteforce(pts)
+    else:
+        edges = hdbscan_mst(pts, min_pts, method)[0]
+        ref = mst_bruteforce_mutual(pts, core_distances(kdt.build(pts), min_pts))
+    assert edges.shape == (143, 3)
+    assert np.allclose(np.sort(edges[:, 2]), np.sort(ref[:, 2]))

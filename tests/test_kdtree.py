@@ -10,10 +10,93 @@ from repro.geometry.knn import core_distances
 
 DIMS = [1, 2, 3, 5, 7]
 SIZES = [1, 2, 3, 17, 128, 500]
+ARRAYS = ("pts", "perm", "left", "right", "lo", "hi", "bb_min", "bb_max", "center", "radius")
+# 2**53 + 2k are adjacent floats: the cut between 2**53 and 2**53 + 2
+# rounds onto 2**53, so the midpoint split leaves the left side empty.
+ULP_BASE, ULP_STEP = 2.0**53, 2.0
 
 
 def _pts(n, d, seed=0, scale=10.0):
     return np.random.default_rng(seed).random((n, d)) * scale
+
+
+def _reference_build(points):
+    """The depth-first build (explicit stack, right child popped first)
+    that ``kdt.build`` reproduces level by level. Returns the tree arrays
+    and the fallback splits taken below the root: "flat" (zero width,
+    identity order) and "sorted" (empty side, stable sort)."""
+    pts = np.array(points, dtype=np.float64)
+    n, d = pts.shape
+    perm = np.arange(n, dtype=np.int64)
+    m = 2 * n - 1
+    left = np.full(m, -1, dtype=np.int32)
+    right = np.full(m, -1, dtype=np.int32)
+    los = np.empty(m, dtype=np.int64)
+    his = np.empty(m, dtype=np.int64)
+    bb_min = np.empty((m, d))
+    bb_max = np.empty((m, d))
+    los[0], his[0] = 0, n
+    fallbacks = set()
+    used = 1
+    stack = [0]
+    while stack:
+        node = stack.pop()
+        lo, hi = int(los[node]), int(his[node])
+        if hi - lo == 1:
+            continue
+        seg = pts[lo:hi]
+        mn = bb_min[node] = seg.min(axis=0)
+        mx = bb_max[node] = seg.max(axis=0)
+        widths = mx - mn
+        dim = int(np.argmax(widths))
+        if widths[dim] <= 0.0:
+            mid = (hi - lo) // 2
+            order = np.arange(hi - lo)
+            kind = "flat"
+        else:
+            cut = 0.5 * (mn[dim] + mx[dim])
+            keys = seg[:, dim]
+            mask = keys < cut
+            mid = int(mask.sum())
+            if mid == 0 or mid == hi - lo:
+                mid = (hi - lo) // 2
+                order = np.argsort(keys, kind="stable")
+                kind = "sorted"
+            else:
+                order = np.argsort(~mask, kind="stable")
+                kind = None
+        if kind is not None and node != 0:
+            fallbacks.add(kind)
+        pts[lo:hi] = seg[order]
+        perm[lo:hi] = perm[lo:hi][order]
+        l, r = used, used + 1
+        used += 2
+        left[node], right[node] = l, r
+        los[l], his[l], los[r], his[r] = lo, lo + mid, lo + mid, hi
+        stack.append(l)
+        stack.append(r)
+    leaves = left < 0
+    bb_min[leaves] = bb_max[leaves] = pts[los[leaves]]
+    arrays = dict(
+        pts=pts, perm=perm, left=left, right=right, lo=los, hi=his,
+        bb_min=bb_min, bb_max=bb_max, center=0.5 * (bb_min + bb_max),
+        radius=0.5 * np.linalg.norm(bb_max - bb_min, axis=1),
+    )
+    return arrays, fallbacks
+
+
+def _assert_matches_reference(pts):
+    ref, fallbacks = _reference_build(pts)
+    t = kdt.build(pts)
+    for name in ARRAYS:
+        got = getattr(t, name)
+        assert got.dtype == ref[name].dtype, name
+        assert np.array_equal(got, ref[name]), name
+    return fallbacks
+
+
+def _lattice(ints, step, base=0.0):
+    return base + np.asarray(ints, dtype=np.float64) * step
 
 
 @pytest.fixture(scope="module")
@@ -69,8 +152,8 @@ def test_bboxes_tight(tree_cases, n, d):
     _, t = tree_cases[(n, d)]
     for v in range(t.n_nodes):
         seg = t.pts[t.lo[v] : t.hi[v]]
-        assert np.allclose(t.bb_min[v], seg.min(axis=0))
-        assert np.allclose(t.bb_max[v], seg.max(axis=0))
+        assert np.array_equal(t.bb_min[v], seg.min(axis=0))
+        assert np.array_equal(t.bb_max[v], seg.max(axis=0))
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])
@@ -131,8 +214,8 @@ def test_attach_core_distances_node_summaries(min_pts):
     cd_re = cd[t.perm]
     for v in range(t.n_nodes):
         seg = cd_re[t.lo[v] : t.hi[v]]
-        assert np.isclose(t.cd_min[v], seg.min())
-        assert np.isclose(t.cd_max[v], seg.max())
+        assert t.cd_min[v] == seg.min()
+        assert t.cd_max[v] == seg.max()
 
 
 def test_well_separated_scalar_definition():
@@ -158,3 +241,89 @@ def test_build_invariants_hypothesis(n, d, seed):
     assert t.n_nodes == 2 * n - 1
     leaves = t.left < 0
     assert leaves.sum() == n
+
+
+@pytest.mark.parametrize("d", DIMS)
+@pytest.mark.parametrize("n", SIZES)
+def test_split_nodes_numbered_in_right_first_preorder(tree_cases, n, d):
+    """The k-th split node of a right-first preorder walk has children
+    2k + 1 (left) and 2k + 2 (right)."""
+    _, t = tree_cases[(n, d)]
+    stack, k = [0], 0
+    while stack:
+        v = stack.pop()
+        if t.left[v] < 0:
+            continue
+        assert (t.left[v], t.right[v]) == (2 * k + 1, 2 * k + 2)
+        k += 1
+        stack += [int(t.left[v]), int(t.right[v])]
+    assert k == n - 1
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_left_child_holds_rows_below_the_cut(d):
+    """Every midpoint split sends exactly the rows with key < cut on the
+    widest dimension to the left child."""
+    pts = _pts(300, d, seed=d)
+    t = kdt.build(pts)
+    for v in np.flatnonzero(t.left >= 0):
+        widths = t.bb_max[v] - t.bb_min[v]
+        dim = int(np.argmax(widths))
+        cut = 0.5 * (t.bb_min[v, dim] + t.bb_max[v, dim])
+        ids = t.points_of(v)
+        below = ids[pts[ids, dim] < cut]
+        assert np.array_equal(np.sort(t.points_of(t.left[v])), np.sort(below))
+
+
+def test_split_partition_is_stable():
+    """Both sides keep the rows' order: with two flat clusters (whose
+    subtrees keep identity order) the final row order is the original
+    order of each cluster, left cluster first."""
+    side = np.random.default_rng(3).integers(0, 2, 40)
+    pts = np.stack([side * 5.0, np.zeros(40)], axis=1)
+    t = kdt.build(pts)
+    expect = np.concatenate([np.flatnonzero(side == 0), np.flatnonzero(side == 1)])
+    assert np.array_equal(t.perm, expect)
+
+
+@pytest.mark.parametrize(
+    "ints,step,base",
+    [
+        (np.random.default_rng(0).integers(0, 3, (300, 2)), 1.0, 0.0),
+        (np.random.default_rng(1).integers(0, 2, (300, 2)), ULP_STEP, ULP_BASE),
+    ],
+)
+def test_build_matches_reference_on_duplicate_lattices(ints, step, base):
+    """Duplicate-heavy lattices take both fallbacks below the root; the
+    level-synchronous build must still equal the depth-first one."""
+    fallbacks = _assert_matches_reference(_lattice(ints, step, base))
+    assert "flat" in fallbacks
+    if step == ULP_STEP:
+        assert fallbacks == {"flat", "sorted"}
+
+
+@pytest.mark.parametrize("n,d", [(1, 2), (2, 3), (500, 3), (300, 5), (200, 7)])
+def test_build_matches_reference(n, d):
+    _assert_matches_reference(_pts(n, d, seed=n + d))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=80),
+    d=st.integers(min_value=1, max_value=3),
+    k=st.integers(min_value=1, max_value=4),
+    ulp=st.booleans(),
+    seed=st.integers(min_value=0, max_value=10_000),
+)
+def test_build_matches_reference_hypothesis(n, d, k, ulp, seed):
+    """Small integer lattices with many duplicates, spaced by 1 or by one
+    float ulp, so that both fallbacks run below the root."""
+    ints = np.random.default_rng(seed).integers(0, k, (n, d))
+    step, base = (ULP_STEP, ULP_BASE) if ulp else (1.0, 0.0)
+    _assert_matches_reference(_lattice(ints, step, base))
+
+
+def test_mutually_unreachable_needs_core_distances():
+    t = kdt.build(_pts(20, 2))
+    with pytest.raises(ValueError, match="attach_core_distances"):
+        t.mutually_unreachable(1, 2)

@@ -11,6 +11,7 @@ from repro.core.wspd import (
     pair_node_dist,
     pair_point_count,
     separation_predicate,
+    v_center_dist,
     v_well_separated,
     wspd,
 )
@@ -70,7 +71,8 @@ def test_wspd_linear_size(n):
 def test_pairs_actually_well_separated(d):
     tree = _tree(200, d, seed=d)
     pairs = wspd(tree, "s2")
-    ok = v_well_separated(tree, pairs[:, 0], pairs[:, 1], "s2")
+    A, B = pairs[:, 0], pairs[:, 1]
+    ok = v_well_separated(tree, A, B, "s2", v_center_dist(tree, A, B))
     # Only coincident-singleton fallbacks may violate the predicate;
     # with random data there are none.
     assert ok.all()
@@ -82,7 +84,7 @@ def test_vectorized_matches_scalar_predicate():
     rng = np.random.default_rng(0)
     A = rng.integers(0, tree.n_nodes, 200)
     B = rng.integers(0, tree.n_nodes, 200)
-    vec = v_well_separated(tree, A, B, "s2")
+    vec = v_well_separated(tree, A, B, "s2", v_center_dist(tree, A, B))
     for a, b, v in zip(A, B, vec):
         assert pred(int(a), int(b)) == bool(v)
 
@@ -100,7 +102,8 @@ def test_hdbscan_separation_is_superset_and_smaller(min_pts):
     assert p_new.shape[0] <= p_std.shape[0]
     # Geometric separation (s=2 in sphere terms) implies new-definition
     # separation on the same node pair.
-    geo = v_well_separated(tree, p_std[:, 0], p_std[:, 1], "hdbscan")
+    A, B = p_std[:, 0], p_std[:, 1]
+    geo = v_well_separated(tree, A, B, "hdbscan", v_center_dist(tree, A, B))
     gap = pair_node_dist(tree, p_std)
     diam = 2.0 * np.maximum(tree.radius[p_std[:, 0]], tree.radius[p_std[:, 1]])
     assert np.all(geo[gap >= diam])
