@@ -8,9 +8,13 @@ on four degenerate inputs (5x duplicates, identical points, a +1e9
 translation and an integer lattice), everything that reads the kd-tree:
 the tree arrays with the core-distance summaries (min_pts = 10), the
 MST edges of EMST-Naive, -GFK and -MemoGFK, of HDBSCAN* under both
-methods and of approximate OPTICS (seed 0), and the reachability plot
-of the top-down dendrogram over the HDBSCAN*-MemoGFK MST. All of it
-runs on the driver, without Spark.
+methods and of approximate OPTICS (seed 0), the reachability plots of
+the top-down and the bottom-up dendrogram over the HDBSCAN*-MemoGFK
+MST, and the flat clusterings at three eps quantiles of the MST
+weights: single linkage over the EMST-MemoGFK MST and DBSCAN* over the
+HDBSCAN*-MemoGFK MST. Cluster ids are renumbered by smallest member
+before they are saved, so that two numberings of one partition compare
+equal. All of it runs on the driver, without Spark.
 
 ``compare`` prints every array that differs between two dumps (in
 shape, dtype or any value) or is present in only one, and exits 1 if
@@ -28,6 +32,7 @@ _TREE = (
     "bb_min", "bb_max", "center", "radius", "cd", "cd_min", "cd_max",
 )
 _MIN_PTS = 10
+_EPS_QUANTILES = (0.2, 0.6, 0.9)
 
 
 def inputs() -> dict[str, np.ndarray]:
@@ -44,13 +49,29 @@ def inputs() -> dict[str, np.ndarray]:
     return out
 
 
+def by_smallest_member(labels: np.ndarray) -> np.ndarray:
+    """``labels`` with clusters renumbered 0, 1, ... in the order of
+    their smallest member; noise (-1) stays -1."""
+    out = labels.copy()
+    clustered = labels >= 0
+    ids, first = np.unique(labels[clustered], return_index=True)
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(first.size)
+    out[clustered] = rank[np.searchsorted(ids, labels[clustered])]
+    return out
+
+
 def outputs(pts: np.ndarray) -> dict[str, np.ndarray]:
-    from repro.core.dendrogram import dendrogram_topdown
+    from repro.core.dendrogram import (
+        dendrogram_sequential,
+        dendrogram_topdown,
+        single_linkage_labels,
+    )
     from repro.core.emst import emst_gfk, emst_memogfk, emst_naive
-    from repro.core.hdbscan import core_tree, hdbscan_mst
+    from repro.core.hdbscan import core_tree, dbscan_star_from_mst, hdbscan_mst
     from repro.core.optics import optics_approx_mst
 
-    tree, _ = core_tree(pts, _MIN_PTS)
+    tree, cd = core_tree(pts, _MIN_PTS)
     out = {f"tree.{a}": getattr(tree, a) for a in _TREE}
     out["emst_naive"] = emst_naive(pts)[0]
     out["emst_gfk"] = emst_gfk(pts)[0]
@@ -61,6 +82,16 @@ def outputs(pts: np.ndarray) -> dict[str, np.ndarray]:
     order, bars = dendrogram_topdown(out["hdbscan_memogfk"]).reachability()
     out["reachability.order"] = order
     out["reachability.bars"] = bars
+    order, bars = dendrogram_sequential(out["hdbscan_memogfk"]).reachability()
+    out["reachability_sequential.order"] = order
+    out["reachability_sequential.bars"] = bars
+    emst, hdb = out["emst_memogfk"], out["hdbscan_memogfk"]
+    for q in _EPS_QUANTILES:
+        eps = float(np.quantile(emst[:, 2], q))
+        labels = single_linkage_labels(emst, pts.shape[0], eps)
+        out[f"single_linkage.q{q}"] = by_smallest_member(labels)
+        eps = float(np.quantile(hdb[:, 2], q))
+        out[f"dbscan_star.q{q}"] = by_smallest_member(dbscan_star_from_mst(hdb, cd, eps))
     return out
 
 

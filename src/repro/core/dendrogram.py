@@ -32,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 from pyspark.sql import SparkSession
 
+from ..graph.kruskal import spanning_forest
 from ..graph.unionfind import UnionFind
 
 # Subproblems at or below this edge count are solved bottom-up.
@@ -186,11 +187,10 @@ def _split_subproblems(
     order = np.argsort(-edges[:, 2], kind="stable")
     heavy_idx = order[:h]
     light_idx = order[h:]
-    uf = UnionFind(k)
-    for u, v, *_ in edges[light_idx]:
-        uf.union(int(u), int(v))
-    labels = uf.labels()
-    comp_ids, comp_of_vertex = np.unique(labels, return_inverse=True)
+    comp = np.arange(k)
+    light_uv = edges[light_idx, :2].astype(np.int64)
+    spanning_forest(comp, light_uv[:, 0], light_uv[:, 1])
+    comp_of_vertex = np.unique(comp, return_inverse=True)[1]
 
     # Light components -> localized subproblems (group light edges by
     # component with one sort; localize endpoints with searchsorted).
@@ -326,11 +326,9 @@ def single_linkage_labels(
     emst_edges: np.ndarray, n: int, eps: float
 ) -> np.ndarray:
     """Flat single-linkage clustering: components under EMST edges with
-    weight <= eps (the horizontal dendrogram cut at eps)."""
-    uf = UnionFind(n)
-    for u, v, w in emst_edges:
-        if w <= eps:
-            uf.union(int(u), int(v))
-    roots = uf.labels()
-    _, labels = np.unique(roots, return_inverse=True)
-    return labels
+    weight <= eps (the horizontal dendrogram cut at eps), numbered 0, 1,
+    ... in the order of their smallest member, whatever the row order."""
+    cut = emst_edges[emst_edges[:, 2] <= eps, :2].astype(np.int64)
+    comp = np.arange(n)
+    spanning_forest(comp, cut[:, 0], cut[:, 1])
+    return np.unique(comp, return_inverse=True)[1]

@@ -7,7 +7,7 @@ Round structure (exactly the paper's):
    ever produce.
 3. Compute BCCPs of S_l (cached across rounds); S_l1 = pairs with
    BCCP <= rho_hi.
-4. Feed S_l1's edges to Kruskal (shared union-find).
+4. Feed S_l1's edges to Kruskal (one component array for the whole run).
 5. Filter out remaining pairs whose two sides are already fully inside
    one component.
 6. beta *= 2 (doubling => O(log n) rounds; the paper's depth argument).
@@ -25,7 +25,6 @@ import numpy as np
 
 from ..geometry.kdtree import KDTree
 from ..graph.kruskal import kruskal_batch
-from ..graph.unionfind import UnionFind
 from . import bccp as bccp_mod
 from .wspd import pair_node_dist, pair_point_count
 
@@ -40,9 +39,9 @@ class GfkStats:
     bccp_work_cells: int = 0          # sum |A||B| actually evaluated
 
 
-def mono_labels(tree: KDTree, uf: UnionFind) -> np.ndarray:
+def mono_labels(tree: KDTree, comp: np.ndarray) -> np.ndarray:
     """Per-node connectivity summary: mono[v] = component label if every
-    point under node v is in one union-find component, else -1.
+    point under node v is in one component of ``comp``, else -1.
 
     This is how both the GFK filter (f_diff, Line 9 of Algorithm 2) and
     the MemoGFK traversal prunes test "A and B already connected"
@@ -53,7 +52,7 @@ def mono_labels(tree: KDTree, uf: UnionFind) -> np.ndarray:
     [lo, hi) is label-uniform iff it contains no label change point of
     the reordered label array.
     """
-    lab = uf.labels()[tree.perm]  # labels in reordered point order
+    lab = comp[tree.perm]  # labels in reordered point order
     # Positions p where lab[p] != lab[p-1], sorted ascending.
     changes = np.flatnonzero(lab[1:] != lab[:-1]) + 1
     lo, hi = tree.lo, tree.hi
@@ -95,9 +94,8 @@ def gfk_mst(
     ``attach_core_distances`` on the tree. Returns ((n-1, 3) MST edges,
     stats).
     """
-    n = tree.n
-    uf = UnionFind(n)
-    out_edges: list[tuple[int, int, float]] = []
+    comp = np.arange(tree.n)
+    out_edges = [np.empty((0, 3))]
     # Per-pair BCCP cache, by position in ``pairs``; NaN: not computed yet.
     edges = np.full((pairs.shape[0], 3), np.nan)
     stats = GfkStats(pairs_materialized=int(pairs.shape[0]))
@@ -113,7 +111,8 @@ def gfk_mst(
         lbs = ndist
     active = np.arange(pairs.shape[0])
     beta = 2
-    while len(out_edges) < n - 1 and active.size > 0:
+    # Once the tree spans, step 5 filters out every pair.
+    while active.size > 0:
         stats.rounds += 1
         in_l = card[active] <= beta
         s_l = active[in_l]
@@ -125,17 +124,16 @@ def gfk_mst(
         edges_l = edges[s_l]
         take = edges_l[:, 2] <= rho_hi
         batch = edges_l[take]
-        if batch.size:
-            kruskal_batch(
-                batch[:, 0].astype(np.int64),
-                batch[:, 1].astype(np.int64),
-                batch[:, 2],
-                uf,
-                out_edges,
-            )
+        kruskal_batch(
+            batch[:, 0].astype(np.int64),
+            batch[:, 1].astype(np.int64),
+            batch[:, 2],
+            comp,
+            out_edges,
+        )
         remaining = np.concatenate([s_l[~take], s_u])
         if remaining.size:
-            mono = mono_labels(tree, uf)
+            mono = mono_labels(tree, comp)
             ma = mono[pairs[remaining, 0]]
             mb = mono[pairs[remaining, 1]]
             keep = ~((ma != -1) & (ma == mb))
@@ -143,4 +141,4 @@ def gfk_mst(
         else:
             active = remaining
         beta *= 2
-    return np.asarray(out_edges, dtype=np.float64).reshape(-1, 3), stats
+    return np.concatenate(out_edges), stats

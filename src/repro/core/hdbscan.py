@@ -25,6 +25,7 @@ from pyspark.sql import SparkSession
 
 from ..geometry import kdtree as kdt
 from ..geometry import knn
+from ..graph.kruskal import spanning_forest
 from .gfk import GfkStats
 from .memogfk import memogfk_mst
 from .wspd import wspd
@@ -116,18 +117,16 @@ def dbscan_star_from_mst(
     <= eps; everything else is noise (label -1).
 
     This is the 'horizontal cut of the dendrogram' of Section 2.1,
-    realized directly on the MST (the two are equivalent).
+    realized directly on the MST (the two are equivalent). Clusters are
+    numbered 0, 1, ... in the order of their smallest member, whatever
+    the row order.
     """
-    from ..graph.unionfind import UnionFind
-
     n = cd.shape[0]
     core = cd <= eps
-    uf = UnionFind(n)
-    for u, v, w in mst_edges:
-        if w <= eps and core[int(u)] and core[int(v)]:
-            uf.union(int(u), int(v))
+    uv = mst_edges[:, :2].astype(np.int64)
+    cut = uv[(mst_edges[:, 2] <= eps) & core[uv[:, 0]] & core[uv[:, 1]]]
+    comp = np.arange(n)
+    spanning_forest(comp, cut[:, 0], cut[:, 1])
     labels = np.full(n, -1, dtype=np.int64)
-    roots = uf.labels()
-    # Canonical labels: cluster id = rank of root among core roots.
-    labels[core] = np.unique(roots[core], return_inverse=True)[1]
+    labels[core] = np.unique(comp[core], return_inverse=True)[1]
     return labels

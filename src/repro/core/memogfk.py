@@ -7,7 +7,7 @@ The full WSPD is never materialized. Each round:
   > beta that are not yet connected, yielding rho_hi.
 * ``get_pairs`` — second pruned traversal: retrieve only well-separated
   pairs whose BCCP lies in [rho_lo, rho_hi), pruning on the bounding-
-  sphere bounds (Figure 3) and on union-find connectivity.
+  sphere bounds (Figure 3) and on component connectivity (``mono_labels``).
 * the retrieved edges go to Kruskal; rho_lo = rho_hi; beta *= 2.
 
 Both traversals are level-synchronous vectorized versions of the
@@ -30,7 +30,6 @@ import numpy as np
 
 from ..geometry.kdtree import KDTree
 from ..graph.kruskal import kruskal_batch
-from ..graph.unionfind import UnionFind
 from .gfk import GfkStats, compute_bccps, mono_labels
 from .wspd import (
     root_seeds,
@@ -208,18 +207,17 @@ def memogfk_mst(
     ``separation="s2"`` + ``star=True`` is the exact GanTao baseline;
     ``separation="s2"`` + ``star=False`` is EMST-MemoGFK.
     """
-    n = tree.n
-    uf = UnionFind(n)
-    out_edges: list[tuple[int, int, float]] = []
+    comp = np.arange(tree.n)
+    out_edges = [np.empty((0, 3))]
     cache = BccpCache(tree.n_nodes)
     stats = GfkStats()
     beta = 2
     rho_lo = 0.0
-    while len(out_edges) < n - 1:
+    while comp.any():  # once spanned, every label is 0 (the smallest vertex)
         stats.rounds += 1
         if stats.rounds > _MAX_ROUNDS:
             raise RuntimeError("MemoGFK failed to converge (bug)")
-        mono = mono_labels(tree, uf)
+        mono = mono_labels(tree, comp)
         rho_hi = get_rho(tree, beta, mono, separation, star)
         batch = get_pairs(
             tree,
@@ -232,20 +230,19 @@ def memogfk_mst(
             stats,
             spark_ctx,
         )
-        if batch.size:
-            kruskal_batch(
-                batch[:, 0].astype(np.int64),
-                batch[:, 1].astype(np.int64),
-                batch[:, 2],
-                uf,
-                out_edges,
-            )
+        kruskal_batch(
+            batch[:, 0].astype(np.int64),
+            batch[:, 1].astype(np.int64),
+            batch[:, 2],
+            comp,
+            out_edges,
+        )
         if (
             not np.isfinite(rho_hi)
             and batch.size == 0
-            and len(out_edges) < n - 1
+            and comp.any()
         ):
             raise RuntimeError("MemoGFK exhausted pairs before spanning (bug)")
         rho_lo = rho_hi
         beta *= 2
-    return np.asarray(out_edges, dtype=np.float64).reshape(-1, 3), stats
+    return np.concatenate(out_edges), stats

@@ -26,7 +26,7 @@ from .wspd import wspd
 
 
 def _pair_edges(
-    tree, a: int, b: int, min_pts: int, rho: float, rng: np.random.Generator
+    tree, a: int, b: int, min_pts: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """(us, vs) original-id endpoint arrays for one well-separated pair,
     per the four Gan–Tao cases."""
@@ -76,7 +76,7 @@ def optics_approx_mst(
     all_u = [np.empty(0, dtype=np.int64)]
     all_v = [np.empty(0, dtype=np.int64)]
     for a, b in pairs:
-        us, vs = _pair_edges(tree, int(a), int(b), min_pts, rho, rng)
+        us, vs = _pair_edges(tree, int(a), int(b), min_pts, rng)
         all_u.append(us)
         all_v.append(vs)
     us = np.concatenate(all_u).astype(np.int64)

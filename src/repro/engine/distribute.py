@@ -11,8 +11,8 @@ dendrogram subproblems) maps here onto one Spark DataFrame job:
   partitions are balanced groups (one stage, no shuffle);
 * ``mapInPandas`` runs the identical NumPy kernels used by the
   sequential path inside executors;
-* results return to the driver (Kruskal's union-find, like the paper's,
-  is a serial fraction that Figure 8 shows is negligible).
+* results return to the driver, which runs Kruskal there (vectorized,
+  ``graph/kruskal.py``).
 
 Granularity control, as in the paper's parallel loops: each fan-out
 runs on the driver below a break-even amount of work, set from a

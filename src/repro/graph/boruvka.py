@@ -18,7 +18,7 @@ import numpy as np
 
 from ..core.gfk import mono_labels
 from ..geometry import kdtree as kdt
-from .unionfind import UnionFind
+from .kruskal import kruskal_batch
 
 # Nodes with at most this many points are scanned whole, not descended.
 _BLOCK = 32
@@ -76,28 +76,22 @@ def emst_boruvka(points: np.ndarray) -> np.ndarray:
     neighbor queries. Returns (n-1, 3) [u, v, w] rows."""
     tree = kdt.build(points)
     n = tree.n
-    uf = UnionFind(n)
-    out: list[tuple[int, int, float]] = []
-    while uf.n_components > 1:
-        labels = uf.labels()
-        lab_re = labels[tree.perm]
-        mono = mono_labels(tree, uf)
-        best_w: dict[int, float] = {}
-        best_edge: dict[int, tuple[int, int]] = {}
+    comp = np.arange(n)
+    out = [np.empty((0, 3))]
+    while comp.any():  # once spanned, every label is 0 (the smallest vertex)
+        lab_re = comp[tree.perm]
+        mono = mono_labels(tree, comp)
+        # Each component's best edge so far, by component label.
+        best_w = np.full(n, np.inf)
+        best_uv = np.empty((n, 2), dtype=np.int64)
         # Iterate in reordered order so queries reuse spatial locality.
         for pos in range(n):
-            orig = int(tree.perm[pos])
             ml = int(lab_re[pos])
-            bound = best_w.get(ml, np.inf)
-            d, j = _nearest_other(tree, tree.pts[pos], ml, lab_re, mono, bound)
-            if j >= 0 and d < best_w.get(ml, np.inf):
+            d, j = _nearest_other(tree, tree.pts[pos], ml, lab_re, mono, best_w[ml])
+            if j >= 0 and d < best_w[ml]:
                 best_w[ml] = d
-                best_edge[ml] = (orig, int(tree.perm[j]))
-        progressed = False
-        for ml, (u, v) in best_edge.items():
-            if uf.union(u, v):
-                out.append((u, v, best_w[ml]))
-                progressed = True
-        if not progressed:
+                best_uv[ml] = tree.perm[pos], tree.perm[j]
+        found = np.flatnonzero(best_w < np.inf)
+        if not kruskal_batch(best_uv[found, 0], best_uv[found, 1], best_w[found], comp, out):
             raise RuntimeError("Boruvka made no progress (bug)")
-    return np.asarray(out, dtype=np.float64).reshape(-1, 3)
+    return np.concatenate(out)

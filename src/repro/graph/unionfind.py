@@ -1,7 +1,6 @@
-"""Union-find (disjoint set union) with path compression + union by size.
-
-Shared across every Kruskal invocation of a GFK/MemoGFK run, exactly as
-in Algorithms 2 and 3 where ``UF`` persists between rounds.
+"""Union-find (disjoint set union) with path compression + union by size:
+the bottom-up dendrogram's one-merge-at-a-time structure, and the tests'
+reference for the vectorized ``kruskal.spanning_forest``.
 """
 from __future__ import annotations
 
@@ -9,17 +8,11 @@ import numpy as np
 
 
 class UnionFind:
-    """Classic DSU over ``n`` elements.
-
-    ``labels()`` returns a fully-compressed root array — the driver
-    broadcasts it each GFK round so executors / vectorized filters can
-    test connectivity without the structure itself.
-    """
+    """Classic DSU over ``n`` elements."""
 
     def __init__(self, n: int):
         self.parent = np.arange(n, dtype=np.int64)
         self.size = np.ones(n, dtype=np.int64)
-        self.n_components = n
 
     def find(self, x: int) -> int:
         root = x
@@ -40,20 +33,4 @@ class UnionFind:
             ra, rb = rb, ra
         self.parent[rb] = ra
         self.size[ra] += self.size[rb]
-        self.n_components -= 1
         return True
-
-    def connected(self, a: int, b: int) -> bool:
-        return self.find(a) == self.find(b)
-
-    def labels(self) -> np.ndarray:
-        """Root id for every element (fully compressed, vectorized)."""
-        p = self.parent
-        # Pointer-jump until fixpoint; O(n alpha) total in practice.
-        while True:
-            pp = p[p]
-            if np.array_equal(pp, p):
-                break
-            p = pp
-        self.parent = p.copy()
-        return p

@@ -133,11 +133,26 @@ def test_single_linkage_cut_matches_components(eps_q):
     for i, j in zip(*np.nonzero(d <= eps)):
         if i < j:
             uf.union(int(i), int(j))
-    ref = uf.labels()
+    ref = np.array([uf.find(v) for v in range(400)])
     import pandas as pd
 
     m = pd.DataFrame({"a": labels, "b": ref}).drop_duplicates()
     assert m["a"].is_unique and m["b"].is_unique
+
+
+@pytest.mark.parametrize("eps_q", [0.2, 0.6, 0.9])
+def test_single_linkage_labels_ignore_row_order(eps_q):
+    """Clusters are numbered in the order of their smallest member, so
+    permuting the MST rows changes no label."""
+    pts = sd.ss_varden(400, 2, seed=2)
+    edges, _ = emst_memogfk(pts)
+    eps = float(np.quantile(edges[:, 2], eps_q))
+    labels = single_linkage_labels(edges, 400, eps)
+    perm = np.random.default_rng(0).permutation(edges.shape[0])
+    assert np.array_equal(single_linkage_labels(edges[perm], 400, eps), labels)
+    # Scanning vertices in order, each new cluster takes the next id.
+    first = np.sort(np.unique(labels, return_index=True)[1])
+    assert np.array_equal(labels[first], np.arange(first.size))
 
 
 def test_single_leaf_tree():

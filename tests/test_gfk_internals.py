@@ -21,20 +21,21 @@ def _tree(n=300, d=2, seed=0):
     return kdt.build(pts)
 
 
-def _random_uf(n, merges, seed=0):
+def _random_labels(n, merges, seed=0):
+    """Every vertex's union-find root after ``merges`` random unions."""
     uf = UnionFind(n)
     rng = np.random.default_rng(seed)
     for _ in range(merges):
         uf.union(int(rng.integers(n)), int(rng.integers(n)))
-    return uf
+    return np.array([uf.find(v) for v in range(n)])
 
 
 @pytest.mark.parametrize("merges", [0, 10, 150, 299])
 def test_mono_labels_matches_naive(merges):
     t = _tree()
-    uf = _random_uf(t.n, merges, seed=merges)
-    mono = mono_labels(t, uf)
-    lab = uf.labels()[t.perm]
+    labels = _random_labels(t.n, merges, seed=merges)
+    mono = mono_labels(t, labels)
+    lab = labels[t.perm]
     for v in range(t.n_nodes):
         seg = lab[t.lo[v] : t.hi[v]]
         expect = seg[0] if np.all(seg == seg[0]) else -1
@@ -47,8 +48,7 @@ def test_get_rho_lower_bounds_big_pair_bccps(beta):
     well-separated pair with cardinality > beta (that is exactly what
     makes the [rho_lo, rho_hi) batch safe for Kruskal)."""
     t = _tree(seed=2)
-    uf = _random_uf(t.n, 120, seed=3)
-    mono = mono_labels(t, uf)
+    mono = mono_labels(t, _random_labels(t.n, 120, seed=3))
     rho = get_rho(t, beta, mono, "s2", star=False)
     sz = t.hi - t.lo
     for a, b in wspd(t, "s2"):
@@ -65,8 +65,7 @@ def test_get_pairs_returns_exactly_in_range_edges(lo_q, hi_q):
     """get_pairs must return precisely the WSPD BCCP edges (over
     unconnected pairs) with weight in [rho_lo, rho_hi)."""
     t = _tree(seed=4, n=200)
-    uf = _random_uf(t.n, 60, seed=5)
-    mono = mono_labels(t, uf)
+    mono = mono_labels(t, _random_labels(t.n, 60, seed=5))
     pairs = wspd(t, "s2")
     all_w = np.array([bccp(t, int(a), int(b))[2] for a, b in pairs])
     keep = np.array(
@@ -86,8 +85,7 @@ def test_get_pairs_returns_exactly_in_range_edges(lo_q, hi_q):
 
 def test_get_rho_infinite_when_no_big_pairs():
     t = _tree(n=50, seed=7)
-    uf = UnionFind(t.n)
-    mono = mono_labels(t, uf)
+    mono = mono_labels(t, np.arange(t.n))
     assert get_rho(t, 10_000, mono, "s2", star=False) == np.inf
 
 
@@ -97,8 +95,7 @@ def test_get_rho_star_uses_core_distance_floor():
     t = _tree(n=120, seed=8)
     cd = np.random.default_rng(9).random(t.n) * 3 + 1.0
     kdt.attach_core_distances(t, cd)
-    uf = UnionFind(t.n)
-    mono = mono_labels(t, uf)
+    mono = mono_labels(t, np.arange(t.n))
     rho = get_rho(t, 2, mono, "s2", star=True)
     for a, b in wspd(t, "s2"):
         a, b = int(a), int(b)

@@ -104,7 +104,7 @@ def _dbscan_star_bruteforce(pts, mp, eps):
         for j in range(i + 1, n):
             if core[j] and d[i, j] <= eps:
                 uf.union(i, j)
-    lab = uf.labels()
+    lab = np.array([uf.find(v) for v in range(n)])
     out = np.full(n, -1, dtype=np.int64)
     roots = {int(r): k for k, r in enumerate(np.unique(lab[core]))}
     for i in range(n):
@@ -131,6 +131,23 @@ def test_dbscan_star_extraction_matches_bruteforce(eps_q, mp):
 
     m = pd.DataFrame({"a": ga, "b": gb}).drop_duplicates()
     assert m["a"].is_unique and m["b"].is_unique  # bijection of labels
+
+
+@pytest.mark.parametrize("eps_q", [0.2, 0.6, 0.9])
+def test_dbscan_star_labels_ignore_row_order(eps_q):
+    """Clusters are numbered in the order of their smallest member, so
+    permuting the MST rows changes no label."""
+    pts = sd.ss_varden(400, 2, seed=2)
+    edges, cd, _ = hdbscan_mst(pts, 10, method="memogfk")
+    eps = float(np.quantile(edges[:, 2], eps_q))
+    labels = dbscan_star_from_mst(edges, cd, eps)
+    perm = np.random.default_rng(0).permutation(edges.shape[0])
+    assert np.array_equal(dbscan_star_from_mst(edges[perm], cd, eps), labels)
+    # Scanning the clustered vertices in order, each new cluster takes
+    # the next id.
+    clustered = labels[labels >= 0]
+    first = np.sort(np.unique(clustered, return_index=True)[1])
+    assert np.array_equal(clustered[first], np.arange(first.size))
 
 
 def test_mutual_reachability_bruteforce_properties():
