@@ -6,10 +6,14 @@ distance max{cd(u), cd(v), d(u, v)} (Section 2.3).
 
 These kernels are the quadratic work of Theorems 3.1/3.3. Every round
 of GFK/MemoGFK (and EMST-Naive's single pass) hands its whole batch of
-pairs to ``bccp_batch``: pairs with few cross cells are solved together
-by one segmented, vectorized pass; larger pairs go one by one through
-the blocked matmul kernels. Spark executors call the same
-``bccp_batch`` on the broadcast tree (see ``repro.engine.distribute``).
+pairs to ``bccp_batch``. Pairs of more than ``_LEAF_CELLS`` cross cells
+are first cut into sub-pairs by one pruned, level-synchronous dual-tree
+descent, which drops the sub-pairs whose bounding boxes are farther
+apart than a weight the pair is known to reach. The (sub-)pairs with
+few cross cells are then solved together by one segmented, vectorized
+pass, and the others one by one by the blocked matmul kernels. Spark
+executors call the same ``bccp_batch`` on the broadcast tree (see
+``repro.engine.distribute``).
 """
 from __future__ import annotations
 
@@ -26,6 +30,11 @@ _CHUNK_CELLS = 1 << 18
 _SMALL_CELLS = 512
 # Cross cells per chunk of the segmented pass (bounds its temporaries).
 _SEG_CHUNK_CELLS = 1 << 16
+# Pairs of more than this many cross cells are cut by the pruned
+# descent of ``_descend``, which stops splitting a sub-pair at this
+# size. Smaller leaves prune more cells but cost more levels and more
+# kernel calls: 2**12 and 2**10 were no faster on the table sets.
+_LEAF_CELLS = 1 << 14
 
 
 def _dist(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
@@ -35,6 +44,24 @@ def _dist(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     bit-equal to the bounds the MemoGFK rounds compare it with."""
     d = P - Q
     return np.sqrt(np.einsum("ij,ij->i", d, d))
+
+
+def _first_min(key: np.ndarray, seg: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Position of the first minimal ``key`` of every segment (``seg``
+    labels each position, ``starts`` are the segment starts)."""
+    hit = np.flatnonzero(key == np.minimum.reduceat(key, starts)[seg])
+    return hit[np.r_[True, seg[hit[1:]] != seg[hit[:-1]]]]
+
+
+def _weights(
+    pts: np.ndarray, cd: np.ndarray | None, i: np.ndarray, j: np.ndarray
+) -> np.ndarray:
+    """Weights of the cells (i[k], j[k]), rows of ``pts``, in
+    ``_dist`` form; BCCP* when core distances ``cd`` are given."""
+    w = _dist(pts[i], pts[j])
+    if cd is not None:
+        w = np.maximum(w, np.maximum(cd[i], cd[j]))
+    return w
 
 
 def bccp_kernel(
@@ -145,45 +172,140 @@ def _segmented(
             key += dx * dx
         if cd is not None:
             key = np.maximum(np.sqrt(key), np.maximum(cd[I], cd[J]))
-        hit = np.flatnonzero(key == np.minimum.reduceat(key, start)[seg])
-        first = hit[np.r_[True, seg[hit[1:]] != seg[hit[:-1]]]]
+        first = _first_min(key, seg, start)
         ii[lo:hi] = I[first]
         jj[lo:hi] = J[first]
         lo = hi
-    ww = _dist(pts[ii], pts[jj])  # the winners' weights, as in bccp_kernel
-    if cd is not None:
-        ww = np.maximum(ww, np.maximum(cd[ii], cd[jj]))
-    return ii, jj, ww
+    return ii, jj, _weights(pts, cd, ii, jj)  # as in bccp_kernel
+
+
+def _nearest(pts: np.ndarray, lo: np.ndarray, hi: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """For every k, the row of [lo[k], hi[k]) nearest the point q[k]."""
+    size = hi - lo
+    starts = np.cumsum(size) - size
+    seg = np.repeat(np.arange(lo.size), size)
+    rows = lo[seg] + np.arange(seg.size) - starts[seg]
+    d = pts[rows] - q[seg]
+    return rows[_first_min(np.einsum("ij,ij->i", d, d), seg, starts)]
+
+
+def _box_gap(tree: KDTree, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Distance between the bounding boxes of nodes a and b, in
+    ``_dist`` form. Box corners are point coordinates and rounding is
+    monotone, so it is never above the rounded ``_dist`` of a cell of
+    the pair (the argument of ``knn.block_kth_distances``)."""
+    d = np.maximum(tree.bb_min[a] - tree.bb_max[b], tree.bb_min[b] - tree.bb_max[a])
+    d = np.maximum(d, 0.0)
+    return np.sqrt(np.einsum("ij,ij->i", d, d))
+
+
+def _descend(
+    tree: KDTree, cd: np.ndarray | None, A: np.ndarray, B: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Disjoint sub-pairs (k, a, b), a a node under A[k] and b under
+    B[k], whose cells hold every lightest cell of the pair
+    (A[k], B[k]) under BCCP (BCCP* if ``cd``).
+
+    One level-synchronous dual-tree descent over all pairs at once (as
+    in dual-tree closest-pair codes, March, Ram and Gray, KDD 2010).
+    ``best[k]`` is a weight pair k reaches: first that of the A point
+    nearest B's center and the B point nearest it, then lowered every
+    level by one real cell of each sub-pair. A sub-pair is dropped when
+    its box gap (for BCCP*, at least its larger cd_min) exceeds
+    ``best``, so it holds no cell as light as ``best``: ties survive.
+    Otherwise it stops at ``_LEAF_CELLS`` cells or splits its
+    larger-radius side. Where both halves of a sub-pair survive whole,
+    the sub-pair is returned instead, so a pair the boxes cannot prune
+    stays one block for the matmul kernel.
+    """
+    sz = tree.hi - tree.lo
+    i = _nearest(tree.pts, tree.lo[A], tree.hi[A], tree.center[B])
+    j = _nearest(tree.pts, tree.lo[B], tree.hi[B], tree.pts[i])
+    best = _weights(tree.pts, cd, i, j)
+    levels = []
+    k, a, b, up = np.arange(A.size), A, B, None
+    while k.size:
+        lb = _box_gap(tree, a, b)
+        if cd is not None:
+            lb = np.maximum(lb, np.maximum(tree.cd_min[a], tree.cd_min[b]))
+        np.minimum.at(best, k, _weights(tree.pts, cd, tree.lo[a], tree.lo[b]))
+        live = lb <= best[k]
+        leaf = live & (sz[a] * sz[b] <= _LEAF_CELLS)
+        levels.append((k, a, b, lb, leaf, up))
+        # Split the larger-radius side (as wspd.split_frontier), or the
+        # one that is not a leaf; ``up`` maps each half to its sub-pair.
+        g = np.flatnonzero(live & ~leaf)
+        on_a = (tree.left[b[g]] < 0) | (
+            (tree.radius[a[g]] >= tree.radius[b[g]]) & (tree.left[a[g]] >= 0)
+        )
+        ga, gb = g[on_a], g[~on_a]  # split on their A side / B side
+        up = np.concatenate([ga, ga, gb, gb])
+        k = k[up]
+        a = np.concatenate([tree.left[a[ga]], tree.right[a[ga]], a[gb], a[gb]])
+        b = np.concatenate([b[ga], b[ga], tree.left[b[gb]], tree.right[b[gb]]])
+    # Bottom up: a sub-pair is whole when it is a leaf that survives the
+    # final best, or both its halves are whole. Each maximal whole
+    # sub-pair is one block for the kernels.
+    out, below = [], None
+    for k, a, b, lb, leaf, up in reversed(levels):
+        whole = leaf & (lb <= best[k])
+        if below is not None:
+            bk, ba, bb, bwhole, bup = below
+            whole |= np.bincount(bup, weights=bwhole, minlength=k.size) == 2
+            top = bwhole & ~whole[bup]
+            out.append((bk[top], ba[top], bb[top]))
+        below = (k, a, b, whole, up)
+    k, a, b, whole, _ = below
+    out.append((k[whole], a[whole], b[whole]))
+    return tuple(np.concatenate(x) for x in zip(*out))
 
 
 def bccp_batch(
     tree: KDTree, A: np.ndarray, B: np.ndarray, star: bool = False
 ) -> np.ndarray:
     """BCCP (BCCP* if ``star``) of every node pair (A[k], B[k]), as a
-    (k, 3) [u, v, w] array in original point ids.
+    (k, 3) [u, v, w] array in original point ids, u in A[k] and v in
+    B[k].
 
-    Pairs with at most ``_SMALL_CELLS`` cross cells are solved together
-    by ``_segmented``; each larger pair calls ``bccp``/``bccp_star``.
+    Pairs of more than ``_LEAF_CELLS`` cells are cut into the sub-pairs
+    of one pruned descent (``_descend``). Every (sub-)pair of at most
+    ``_SMALL_CELLS`` cells is solved by one ``_segmented`` call; every
+    larger one calls ``bccp``/``bccp_star``. A cut pair takes the
+    lightest cell of its sub-pairs, ties to the smallest (row in A, row
+    in B) in tree order: the first minimal cell, as the kernels pick it.
     """
     A = np.asarray(A, dtype=np.int64)
     B = np.asarray(B, dtype=np.int64)
+    cd = tree.cd if star else None
+    sz = tree.hi - tree.lo
+    cells = sz[A] * sz[B]
+    cut = cells > _LEAF_CELLS
+    k, a, b = slice(None), A, B  # the candidate (sub-)pairs of pairs k
+    if cut.any():
+        ck, ca, cb = _descend(tree, cd, A[cut], B[cut])
+        k = np.concatenate([np.flatnonzero(~cut), np.flatnonzero(cut)[ck]])
+        a, b = np.concatenate([A[~cut], ca]), np.concatenate([B[~cut], cb])
+        cells = sz[a] * sz[b]
+    small = cells <= _SMALL_CELLS
+    s = slice(None) if small.all() else small
+    i = np.empty(a.size, dtype=np.int64)
+    j = np.empty(a.size, dtype=np.int64)
+    w = np.empty(a.size)
+    i[s], j[s], w[s] = _segmented(tree.pts, cd, tree.lo[a[s]], sz[a[s]], tree.lo[b[s]], sz[b[s]])
+    if not small.all():
+        fn = bccp_star if star else bccp
+        uvw = np.array([fn(tree, x, y) for x, y in zip(a[~small].tolist(), b[~small].tolist())])
+        row = np.empty_like(tree.perm)  # original id -> row
+        row[tree.perm] = np.arange(tree.n)
+        i[~small] = row[uvw[:, 0].astype(np.int64)]
+        j[~small] = row[uvw[:, 1].astype(np.int64)]
+        w[~small] = uvw[:, 2]
+    if cut.any():
+        order = np.lexsort((j, i, w, k))
+        t = order[np.r_[True, k[order[1:]] != k[order[:-1]]]]
+        k, i, j, w = k[t], i[t], j[t], w[t]
     out = np.empty((A.size, 3))
-    na = tree.hi[A] - tree.lo[A]
-    nb = tree.hi[B] - tree.lo[B]
-    large = na * nb > _SMALL_CELLS
-    small = np.flatnonzero(~large)
-    i, j, w = _segmented(
-        tree.pts,
-        tree.cd if star else None,
-        tree.lo[A[small]],
-        na[small],
-        tree.lo[B[small]],
-        nb[small],
-    )
-    out[small, 0] = tree.perm[i]
-    out[small, 1] = tree.perm[j]
-    out[small, 2] = w
-    fn = bccp_star if star else bccp
-    for k in np.flatnonzero(large):
-        out[k] = fn(tree, int(A[k]), int(B[k]))
+    out[k, 0] = tree.perm[i]
+    out[k, 1] = tree.perm[j]
+    out[k, 2] = w
     return out

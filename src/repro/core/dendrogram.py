@@ -33,7 +33,6 @@ import numpy as np
 from pyspark.sql import SparkSession
 
 from ..graph.kruskal import spanning_forest
-from ..graph.unionfind import UnionFind
 
 # Subproblems at or below this edge count are solved bottom-up.
 _SEQ_CUTOFF = 256
@@ -96,22 +95,20 @@ def vertex_distances(n: int, edges: np.ndarray, s: int = 0) -> np.ndarray:
     heads = np.concatenate([edges[:, 0], edges[:, 1]]).astype(np.int64)
     tails = np.concatenate([edges[:, 1], edges[:, 0]]).astype(np.int64)
     order = np.argsort(heads, kind="stable")
-    heads, tails = heads[order], tails[order]
-    starts = np.searchsorted(heads, np.arange(n + 1))
-    dist = np.full(n, -1, dtype=np.int64)
+    starts = np.searchsorted(heads[order], np.arange(n + 1)).tolist()
+    tails = tails[order].tolist()
+    dist = [-1] * n
     dist[s] = 0
-    frontier = [s]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in tails[starts[u] : starts[u + 1]]:
-                if dist[v] < 0:
-                    dist[v] = dist[u] + 1
-                    nxt.append(int(v))
-        frontier = nxt
-    if np.any(dist < 0):
+    queue = [s]
+    for u in queue:  # the queue grows while it is walked
+        du = dist[u] + 1
+        for v in tails[starts[u] : starts[u + 1]]:
+            if dist[v] < 0:
+                dist[v] = du
+                queue.append(v)
+    if len(queue) < n:
         raise ValueError("edges do not form a spanning tree")
-    return dist
+    return np.array(dist, dtype=np.int64)
 
 
 class _Builder:
@@ -124,15 +121,6 @@ class _Builder:
         self.weight = np.empty(size)
         self.base = base
         self.next_id = base
-
-    def add(self, left: int, right: int, w: float) -> int:
-        i = self.next_id
-        k = i - self.base
-        self.left[k] = left
-        self.right[k] = right
-        self.weight[k] = w
-        self.next_id += 1
-        return i
 
 
 def _bottom_up(
@@ -147,26 +135,36 @@ def _bottom_up(
     light dendrograms into heavy leaves). Returns the root ref.
     """
     m = edges.shape[0]
-    k = m + 1
-    uf = UnionFind(k)
-    comp_root = {i: int(refs[i]) for i in range(k)}
-    order = np.argsort(edges[:, 2], kind="stable")
-    root = int(refs[0])
-    for idx in order:
-        u, v, w, vdu, vdv = edges[idx]
-        u, v = int(u), int(v)
-        ru, rv = uf.find(u), uf.find(v)
-        cu, cv = comp_root[ru], comp_root[rv]
-        # Ordering rule (Theorem 4.2): the side holding the endpoint
-        # with the smaller vertex distance goes left.
-        if vdu <= vdv:
-            node = builder.add(cu, cv, float(w))
+    e = edges[np.argsort(edges[:, 2], kind="stable")]
+    us = e[:, 0].astype(np.int64).tolist()
+    vs = e[:, 1].astype(np.int64).tolist()
+    # Ordering rule (Theorem 4.2): the side holding the endpoint with
+    # the smaller vertex distance goes left.
+    u_left = (e[:, 3] <= e[:, 4]).tolist()
+    parent = list(range(m + 1))
+    size = [1] * (m + 1)
+    comp_root = refs.tolist()  # child ref of each union-find root
+    left, right = [0] * m, [0] * m
+    node = builder.next_id
+    for t in range(m):
+        ru, rv = us[t], vs[t]
+        while parent[ru] != ru:  # find, with path halving
+            parent[ru] = ru = parent[parent[ru]]
+        while parent[rv] != rv:
+            parent[rv] = rv = parent[parent[rv]]
+        if u_left[t]:
+            left[t], right[t] = comp_root[ru], comp_root[rv]
         else:
-            node = builder.add(cv, cu, float(w))
-        uf.union(u, v)
-        comp_root[uf.find(u)] = node
-        root = node
-    return root
+            left[t], right[t] = comp_root[rv], comp_root[ru]
+        if size[ru] < size[rv]:
+            ru, rv = rv, ru
+        parent[rv] = ru
+        size[ru] += size[rv]
+        comp_root[ru] = node + t
+    ids = slice(node - builder.base, node - builder.base + m)
+    builder.left[ids], builder.right[ids], builder.weight[ids] = left, right, e[:, 2]
+    builder.next_id += m
+    return node + m - 1 if m else int(refs[0])
 
 
 def _split_subproblems(

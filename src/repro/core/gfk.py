@@ -36,7 +36,7 @@ class GfkStats:
     rounds: int = 0
     bccp_computed: int = 0
     pairs_materialized: int = 0       # peak simultaneously-live pairs
-    bccp_work_cells: int = 0          # sum |A||B| actually evaluated
+    bccp_work_cells: int = 0          # brute-force cells of the pairs handed to BCCP
 
 
 def mono_labels(tree: KDTree, comp: np.ndarray) -> np.ndarray:

@@ -33,9 +33,11 @@ from ..geometry.kdtree import KDTree
 
 # Break-evens, measured on local[4] with jobs/break_even.py (DESIGN.md,
 # Section 3): below these the driver finishes before a Spark job would.
-_MIN_PARALLEL_CELLS = 50_000_000  # BCCP*: cross cells a batch can spread
+# The BCCP* and dendrogram constants sit just above the largest work
+# measured, at 80 000 points; the driver won every row up to there.
+_MIN_PARALLEL_CELLS = 500_000_000  # BCCP*: cross cells a batch can spread
 _MIN_PARALLEL_POINTS = 20_000  # k-NN: points
-_MIN_PARALLEL_EDGES = 30_000  # dendrogram: light-subproblem edges of the top level
+_MIN_PARALLEL_EDGES = 80_000  # dendrogram: light-subproblem edges of the top level
 
 
 def _dealt(spark: SparkSession, pdf: pd.DataFrame, weight: np.ndarray) -> DataFrame:

@@ -1,6 +1,8 @@
-"""Union-find (disjoint set union) with path compression + union by size:
-the bottom-up dendrogram's one-merge-at-a-time structure, and the tests'
-reference for the vectorized ``kruskal.spanning_forest``.
+"""Union-find (disjoint set union) with path compression + union by size.
+
+No algorithm calls it: it is the tests' reference for the vectorized
+``kruskal.spanning_forest`` and for the bottom-up dendrogram's list
+union-find (``dendrogram._bottom_up``).
 """
 from __future__ import annotations
 

@@ -2,6 +2,8 @@
 bounds MemoGFK prunes with (Figure 3a: lb <= BCCP <= ub)."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import bccp as bccp_mod
 from repro.core.bccp import bccp, bccp_batch, bccp_kernel, bccp_star
@@ -177,3 +179,168 @@ def test_bccp_batch_chunk_boundaries(monkeypatch, chunk):
     for star in (0, 1):
         got = bccp_batch(t, pairs[:, 0], pairs[:, 1], star)
         assert np.array_equal(got, want[star])
+
+
+def _dense(t, a, b, star):
+    """Every cross cell of nodes a, b in ``_dist`` form, as an
+    |A| x |B| matrix over tree rows."""
+    A = np.arange(t.lo[a], t.hi[a])
+    B = np.arange(t.lo[b], t.hi[b])
+    I, J = np.repeat(A, B.size), np.tile(B, A.size)
+    w = bccp_mod._dist(t.pts[I], t.pts[J])
+    if star:
+        w = np.maximum(w, np.maximum(t.cd[I], t.cd[J]))
+    return w.reshape(A.size, B.size)
+
+
+def _two_clusters(n=400, d=3, gap=10.0, seed=0):
+    rng = np.random.default_rng(seed)
+    pts = rng.random((n, d))
+    pts[n // 2 :, 0] += gap
+    return pts
+
+
+def _descent_tree(case):
+    """(tree, its root children): one pair of more than ``_LEAF_CELLS``
+    cells, so ``bccp_batch`` solves it by the descent."""
+    rng = np.random.default_rng(1)
+    if case == "far-clusters":
+        pts = _two_clusters()
+    elif case == "uniform-7d":
+        pts = rng.random((400, 7))
+    elif case == "duplicates":
+        pts = np.tile(_two_clusters(n=140, gap=1.0), (3, 1))
+    elif case == "translated-1e9":
+        pts = _two_clusters(gap=0.5) + 1e9
+    elif case == "tied-core-distances":
+        pts = _two_clusters(gap=0.5)
+    t = kdt.build(pts)
+    cd = rng.random(t.n) * 0.5
+    if case == "tied-core-distances":
+        cd = rng.choice([0.6, 0.8], t.n)  # BCCP* weights mostly a core distance
+    kdt.attach_core_distances(t, cd)
+    a, b = int(t.left[0]), int(t.right[0])
+    assert t.size(a) * t.size(b) > bccp_mod._LEAF_CELLS
+    return t, a, b
+
+
+def _check_against_dense(t, a, b, star, w_dense):
+    (u, v, w), = bccp_batch(t, np.array([a]), np.array([b]), star)
+    assert np.isclose(w, w_dense.min(), rtol=1e-12, atol=0)
+    row = np.empty_like(t.perm)
+    row[t.perm] = np.arange(t.n)
+    i, j = row[int(u)], row[int(v)]
+    assert t.lo[a] <= i < t.hi[a] and t.lo[b] <= j < t.hi[b]
+    assert np.isclose(w_dense[i - t.lo[a], j - t.lo[b]], w, rtol=1e-12, atol=0)
+    return u, v, w
+
+
+DESCENT_CASES = [
+    "far-clusters", "uniform-7d", "duplicates", "translated-1e9", "tied-core-distances"
+]
+
+
+@pytest.mark.parametrize("star", [False, True], ids=["bccp", "bccp_star"])
+@pytest.mark.parametrize("case", DESCENT_CASES)
+def test_descent_matches_dense(case, star):
+    """A pair the descent cuts into sub-pairs gets the dense minimum,
+    u in A and v in B achieving it; on a unique minimum it is the cell
+    ``bccp``/``bccp_star`` finds over the whole pair."""
+    t, a, b = _descent_tree(case)
+    w_dense = _dense(t, a, b, star)
+    u, v, w = _check_against_dense(t, a, b, star, w_dense)
+    if (w_dense == w_dense.min()).sum() == 1:
+        fn = bccp_star if star else bccp
+        assert fn(t, a, b)[:2] == (int(u), int(v))
+
+
+@pytest.mark.parametrize("leaf", [16, 1 << 14])
+def test_descent_ties_go_to_the_first_cell(monkeypatch, leaf):
+    """Two clusters 0.2 apart whose BCCP* cells within 0.5 of each other
+    all weigh the core distance 0.5: many ties, spread over sub-pairs
+    that survive while the far ones are pruned. The answer is the first
+    minimal cell in row-major (tree) order, as the kernels pick it."""
+    monkeypatch.setattr(bccp_mod, "_LEAF_CELLS", leaf)
+    t = kdt.build(_two_clusters(gap=1.2))
+    kdt.attach_core_distances(t, np.full(t.n, 0.5))
+    a, b = int(t.left[0]), int(t.right[0])
+    w_dense = _dense(t, a, b, True)
+    assert (w_dense == 0.5).sum() > 100 and w_dense.max() > 1.0
+    i, j = np.unravel_index(np.argmin(w_dense), w_dense.shape)
+    (u, v, _), = bccp_batch(t, np.array([a]), np.array([b]), True)
+    assert (int(u), int(v)) == (t.perm[t.lo[a] + i], t.perm[t.lo[b] + j])
+
+
+@pytest.mark.parametrize("star", [False, True], ids=["bccp", "bccp_star"])
+def test_descent_prunes_far_clusters(monkeypatch, star):
+    """On two far clusters the descent hands the kernels far fewer
+    cells than |A||B|, and still finds the dense minimum."""
+    t, a, b = _descent_tree("far-clusters")
+    sz = t.hi - t.lo
+    cells = []
+    seg = bccp_mod._segmented
+
+    def counting_segmented(pts, cd, alo, na, blo, nb):
+        cells.append(int((na * nb).sum()))
+        return seg(pts, cd, alo, na, blo, nb)
+
+    name = "bccp_star" if star else "bccp"
+    kernel = getattr(bccp_mod, name)
+
+    def counting_kernel(tree, x, y):
+        cells.append(int(sz[x] * sz[y]))
+        return kernel(tree, x, y)
+
+    monkeypatch.setattr(bccp_mod, "_segmented", counting_segmented)
+    monkeypatch.setattr(bccp_mod, name, counting_kernel)
+    _check_against_dense(t, a, b, star, _dense(t, a, b, star))
+    assert 0 < sum(cells) < sz[a] * sz[b] // 4
+
+
+def test_box_gap_never_exceeds_a_cell():
+    """The descent's lower bound is at most every rounded cell weight,
+    with no tolerance, also far from the origin."""
+    for offset in (0.0, 1e9):
+        t = kdt.build(np.random.default_rng(2).random((120, 3)) + offset)
+        rng = np.random.default_rng(3)
+        A, B = rng.integers(0, t.n_nodes, (2, 300))
+        gap = bccp_mod._box_gap(t, A, B)
+        for k in range(300):
+            assert gap[k] <= _dense(t, A[k], B[k], False).min()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 160),
+    d=st.integers(1, 5),
+    grid=st.sampled_from([0, 2, 5]),
+    offset=st.sampled_from([0.0, 1e9]),
+    leaf=st.sampled_from([1, 16, 600]),
+    star=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batch_descent_hypothesis(n, d, grid, offset, leaf, star, seed):
+    """Random pair batches (integer grids make duplicates and ties)
+    with small leaves, so that every pair of more than ``leaf`` cells is
+    cut; each pair gets its dense minimum, achieved by u in A and v in
+    B. On a grid every weight is exact in both kernels, so ties go to
+    the first minimal cell in row-major order."""
+    rng = np.random.default_rng(seed)
+    pts = rng.integers(0, grid, (n, d)).astype(float) if grid else rng.random((n, d))
+    t = kdt.build(pts + offset)
+    cd = rng.integers(0, 3, n) * 0.5 if grid else rng.random(n)
+    kdt.attach_core_distances(t, cd)
+    A, B = rng.integers(0, t.n_nodes, (2, 12))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bccp_mod, "_LEAF_CELLS", leaf)
+        got = bccp_batch(t, A, B, star)
+    row = np.empty_like(t.perm)
+    row[t.perm] = np.arange(t.n)
+    for (a, b), (u, v, w) in zip(zip(A, B), got):
+        w_dense = _dense(t, a, b, star)
+        assert np.isclose(w, w_dense.min(), rtol=1e-12, atol=0)
+        i, j = row[int(u)] - t.lo[a], row[int(v)] - t.lo[b]
+        assert 0 <= i < w_dense.shape[0] and 0 <= j < w_dense.shape[1]
+        assert np.isclose(w_dense[i, j], w, rtol=1e-12, atol=0)
+        if grid:
+            assert (i, j) == np.unravel_index(np.argmin(w_dense), w_dense.shape)

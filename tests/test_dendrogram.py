@@ -8,6 +8,8 @@ import pytest
 from repro import synth_data as sd
 from repro.core.dendrogram import (
     Dendrogram,
+    _bottom_up,
+    _Builder,
     dendrogram_sequential,
     dendrogram_topdown,
     single_linkage_labels,
@@ -83,6 +85,62 @@ def test_internal_weights_are_edge_weights():
     edges = _random_tree(80, seed=5)
     dend = dendrogram_topdown(edges, 0)
     assert np.allclose(np.sort(dend.weight), np.sort(edges[:, 2]))
+
+
+def _reference_bottom_up(edges, refs, builder):
+    """The per-edge ``UnionFind`` form of ``_bottom_up``, kept as its
+    reference: one internal node per edge in stable weight order, the
+    endpoint with the smaller vertex distance on the left."""
+    m = edges.shape[0]
+    uf = UnionFind(m + 1)
+    comp_root = {i: int(refs[i]) for i in range(m + 1)}
+    root = int(refs[0])
+    for idx in np.argsort(edges[:, 2], kind="stable"):
+        u, v, w, vdu, vdv = edges[idx]
+        u, v = int(u), int(v)
+        cu, cv = comp_root[uf.find(u)], comp_root[uf.find(v)]
+        root = builder.next_id
+        k = root - builder.base
+        builder.left[k], builder.right[k] = (cu, cv) if vdu <= vdv else (cv, cu)
+        builder.weight[k] = float(w)
+        builder.next_id += 1
+        uf.union(u, v)
+        comp_root[uf.find(u)] = root
+    return root
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_bottom_up_matches_reference(seed):
+    """Random local trees with tied weights and tied vertex distances,
+    refs mixing leaves and solved roots, and a builder whose ids start
+    at a nonzero base with some ids already taken (a Spark subproblem
+    inside a recursion)."""
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(0, 60))
+    parent = [int(rng.integers(0, i)) for i in range(1, m + 1)]
+    label = rng.permutation(m + 1)
+    edges = np.column_stack(
+        [
+            label[parent] if m else np.empty(0),
+            label[1:],
+            rng.integers(0, 4, m).astype(np.float64),  # ties
+            rng.integers(0, 3, m),
+            rng.integers(0, 3, m),
+        ]
+    ).astype(np.float64).reshape(m, 5)
+    refs = rng.permutation(np.arange(-(m + 1), m + 1))[: m + 1]
+    base, taken = int(rng.integers(1, 1000)), int(rng.integers(0, 5))
+    built = []
+    for fn in (_bottom_up, _reference_bottom_up):
+        b = _Builder(m + taken, base)
+        b.next_id += taken
+        b.left[:taken] = b.right[:taken] = b.weight[:taken] = -7
+        root = fn(edges, refs, b)
+        built.append((root, b.next_id, b.left, b.right, b.weight))
+    (root, nxt, *arrays), (root_ref, nxt_ref, *arrays_ref) = built
+    assert (root, nxt) == (root_ref, nxt_ref)
+    for x, y in zip(arrays, arrays_ref):
+        assert x.dtype == y.dtype and np.array_equal(x, y)
 
 
 @pytest.mark.parametrize("n", [2, 5, 64, 400])
