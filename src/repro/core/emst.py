@@ -21,17 +21,9 @@ from pyspark.sql import SparkSession
 from ..geometry import kdtree as kdt
 from ..geometry.delaunay import delaunay_edges
 from ..graph import kruskal
-from .gfk import GfkStats, compute_bccps, gfk_mst
+from .gfk import GfkStats, bccp_scope, compute_bccps, gfk_mst
 from .memogfk import memogfk_mst
 from .wspd import wspd
-
-
-def _spark_ctx(spark: SparkSession | None, tree):
-    if spark is None:
-        return None
-    from ..engine.distribute import SparkBccp
-
-    return SparkBccp(spark, tree)
 
 
 def emst_naive(
@@ -43,10 +35,8 @@ def emst_naive(
     tree = kdt.build(points)
     pairs = wspd(tree, "s2", max_pairs=max_pairs)
     stats = GfkStats(rounds=1, pairs_materialized=int(pairs.shape[0]))
-    ctx = _spark_ctx(spark, tree)
-    edges = compute_bccps(tree, pairs, False, stats, ctx)
-    if ctx is not None:
-        ctx.unpersist()
+    with bccp_scope(spark, tree) as ctx:
+        edges = compute_bccps(tree, pairs, False, stats, ctx)
     mst = kruskal.mst(
         tree.n,
         edges[:, 0].astype(np.int64),
@@ -64,11 +54,8 @@ def emst_gfk(
     """EMST-GFK: Algorithm 2 on the materialized WSPD."""
     tree = kdt.build(points)
     pairs = wspd(tree, "s2", max_pairs=max_pairs)
-    ctx = _spark_ctx(spark, tree)
-    edges, stats = gfk_mst(tree, pairs, star=False, spark_ctx=ctx)
-    if ctx is not None:
-        ctx.unpersist()
-    return edges, stats
+    with bccp_scope(spark, tree) as ctx:
+        return gfk_mst(tree, pairs, star=False, spark_ctx=ctx)
 
 
 def emst_memogfk(
@@ -76,11 +63,8 @@ def emst_memogfk(
 ) -> tuple[np.ndarray, GfkStats]:
     """EMST-MemoGFK: Algorithm 3 (the paper's fastest method)."""
     tree = kdt.build(points)
-    ctx = _spark_ctx(spark, tree)
-    edges, stats = memogfk_mst(tree, star=False, separation="s2", spark_ctx=ctx)
-    if ctx is not None:
-        ctx.unpersist()
-    return edges, stats
+    with bccp_scope(spark, tree) as ctx:
+        return memogfk_mst(tree, star=False, separation="s2", spark_ctx=ctx)
 
 
 def emst_delaunay(points: np.ndarray) -> tuple[np.ndarray, GfkStats]:
@@ -98,7 +82,5 @@ def emst_delaunay(points: np.ndarray) -> tuple[np.ndarray, GfkStats]:
     stats = GfkStats(rounds=1, pairs_materialized=int(de.shape[0]))
     diff = pts[de[:, 0]] - pts[de[:, 1]]
     ws = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-    mst = kruskal.mst(pts.shape[0], de[:, 0], de[:, 1], ws)
-    if mst.shape[0] < pts.shape[0] - 1:
-        raise ValueError("Delaunay edges do not span the points (collinear input?)")
-    return mst, stats
+    # The checked triangulation holds every EMST edge, so this spans.
+    return kruskal.mst(pts.shape[0], de[:, 0], de[:, 1], ws), stats

@@ -19,6 +19,7 @@ Tables 2/4/5.
 """
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,6 +62,17 @@ def mono_labels(tree: KDTree, comp: np.ndarray) -> np.ndarray:
         changes, lo + 1, side="left"
     )
     return np.where(n_changes == 0, lab[lo], -1)
+
+
+def bccp_scope(spark, tree: KDTree):
+    """The run's ``with`` scope for ``compute_bccps``: a
+    ``SparkBccp`` over ``tree``, whose tree broadcast is unpersisted on
+    exit even when a round raises, or ``None`` without a session."""
+    if spark is None:
+        return nullcontext()
+    from ..engine.distribute import SparkBccp
+
+    return SparkBccp(spark, tree)
 
 
 def compute_bccps(

@@ -26,7 +26,7 @@ from pyspark.sql import SparkSession
 from ..geometry import kdtree as kdt
 from ..geometry import knn
 from ..graph.kruskal import spanning_forest
-from .gfk import GfkStats
+from .gfk import GfkStats, bccp_scope
 from .memogfk import memogfk_mst
 from .wspd import wspd
 
@@ -68,14 +68,8 @@ def hdbscan_mst(
         raise ValueError(f"unknown method {method!r}")
     tree, cd = core_tree(points, min_pts, spark)
     separation = "hdbscan" if method == "memogfk" else "s2"
-    ctx = None
-    if spark is not None:
-        from ..engine.distribute import SparkBccp
-
-        ctx = SparkBccp(spark, tree)
-    edges, stats = memogfk_mst(tree, star=True, separation=separation, spark_ctx=ctx)
-    if ctx is not None:
-        ctx.unpersist()
+    with bccp_scope(spark, tree) as ctx:
+        edges, stats = memogfk_mst(tree, star=True, separation=separation, spark_ctx=ctx)
     return edges, cd, stats
 
 

@@ -133,8 +133,8 @@ def get_rho(
         ws = v_well_separated(tree, A, B, kind, c)
         if np.any(ws):
             rho_hi = min(rho_hi, float(lb[ws].min()))  # WRITEMIN
-        A, B, stuck = split_frontier(tree, A[~ws], B[~ws])
-        # ``stuck`` = coincident singleton pairs: zero-weight edges that
+        A, B, _ = split_frontier(tree, A[~ws], B[~ws])
+        # Coincident singleton pairs cannot split: zero-weight edges that
         # the first get_pairs round will pick up; they never bound rho.
     return float(rho_hi)
 
@@ -159,39 +159,47 @@ def get_pairs(
     computed (one ``bccp_batch`` call, or one Spark fan-out) and
     cached; only in-range ones are materialized as edges.
 
-    A pair is in range when its weight clamped into the pair's own
-    [lb, ub] is: the traversal prunes on those bounds, so a weight that
-    disagrees with them in the last bit cannot make every round drop
-    the edge. The edge keeps its true weight.
+    A pair is in range when its weight clamped into its bounds is, and
+    a pair's bounds are kept inside those of every pair above it in the
+    traversal. So however the bounds and the weight round, no pair
+    above it is pruned in the round its clamped weight falls in, and
+    the edge is offered exactly once. The edge keeps its true weight.
     """
     candidates: list[np.ndarray] = []
+    bounds: list[np.ndarray] = []
     A, B = _seeds(tree, mono)
+    lo, hi = np.zeros(A.size), np.full(A.size, np.inf)
     while A.size:
         keep = ~((mono[A] != -1) & (mono[A] == mono[B]))
-        A, B = A[keep], B[keep]
+        A, B, lo, hi = A[keep], B[keep], lo[keep], hi[keep]
         if not A.size:
             break
         c = v_center_dist(tree, A, B)
         lb, ub = _v_bounds(tree, A, B, star, c)
-        live = (ub >= rho_lo) & (lb < rho_hi)
-        A, B, c = A[live], B[live], c[live]
+        lo = np.minimum(np.maximum(lo, lb), hi)
+        hi = np.maximum(np.minimum(hi, ub), lo)
+        live = (hi >= rho_lo) & (lo < rho_hi)
+        A, B, c, lo, hi = A[live], B[live], c[live], lo[live], hi[live]
         if not A.size:
             break
         ws = v_well_separated(tree, A, B, kind, c)
-        if np.any(ws):
-            candidates.append(np.stack([A[ws], B[ws]], axis=1))
-        A, B, stuck = split_frontier(tree, A[~ws], B[~ws])
-        if stuck.size:
-            candidates.append(stuck)  # coincident singletons
+        rest = np.flatnonzero(~ws)
+        nA, nB, stuck = split_frontier(tree, A[rest], B[rest])
+        # Candidates: the well-separated pairs and the coincident
+        # singletons, which cannot split.
+        done = np.concatenate([np.flatnonzero(ws), rest[stuck]])
+        candidates.append(np.stack([A[done], B[done]], axis=1))
+        bounds.append(np.stack([lo[done], hi[done]], axis=1))
+        rest = rest[~stuck]
+        A, B, lo, hi = nA, nB, np.tile(lo[rest], 2), np.tile(hi[rest], 2)
     if not candidates:
         return np.empty((0, 3))
     cand = np.concatenate(candidates, axis=0)
+    lo, hi = np.concatenate(bounds, axis=0).T
     stats.pairs_materialized = max(stats.pairs_materialized, cand.shape[0])
 
     edges = cache.edges_of(tree, cand, star, stats, spark_ctx)
-    A, B = cand[:, 0], cand[:, 1]
-    lb, ub = _v_bounds(tree, A, B, star, v_center_dist(tree, A, B))
-    w = np.clip(edges[:, 2], lb, ub)
+    w = np.clip(edges[:, 2], lo, hi)
     return edges[(rho_lo <= w) & (w < rho_hi)]
 
 

@@ -26,30 +26,25 @@ from .wspd import wspd
 
 
 def _pair_edges(
-    tree, a: int, b: int, min_pts: int, rng: np.random.Generator
+    tree, A: np.ndarray, B: np.ndarray, min_pts: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(us, vs) original-id endpoint arrays for one well-separated pair,
-    per the four Gan–Tao cases."""
-    alo, ahi = int(tree.lo[a]), int(tree.hi[a])
-    blo, bhi = int(tree.lo[b]), int(tree.hi[b])
-    A = tree.perm[alo:ahi]
-    B = tree.perm[blo:bhi]
-    big_a = A.size >= min_pts
-    big_b = B.size >= min_pts
-    if big_a and big_b:
-        return (
-            np.array([A[rng.integers(A.size)]]),
-            np.array([B[rng.integers(B.size)]]),
-        )
-    if big_a:
-        rep = A[rng.integers(A.size)]
-        return np.full(B.size, rep), B.copy()
-    if big_b:
-        rep = B[rng.integers(B.size)]
-        return A.copy(), np.full(A.size, rep)
-    us = np.repeat(A, B.size)
-    vs = np.tile(B, A.size)
-    return us, vs
+    """(us, vs) original-id endpoint arrays of the edges of every
+    well-separated pair (A[k], B[k]), per the four Gan–Tao cases.
+
+    A side of at least ``min_pts`` points stands for one random point of
+    it (its representative, all drawn in one ``rng.integers`` call), so
+    every pair contributes the cross edges of its two sides; these are
+    laid out flat with ``np.repeat``, as ``bccp._segmented`` lays out
+    cross cells.
+    """
+    sizes = np.stack([tree.hi[A] - tree.lo[A], tree.hi[B] - tree.lo[B]])
+    big = sizes >= min_pts
+    first = tree.lo[np.stack([A, B])] + np.where(big, rng.integers(sizes), 0)
+    na, nb = np.where(big, 1, sizes)
+    cells = na * nb
+    seg = np.repeat(np.arange(cells.size), cells)
+    q, r = np.divmod(np.arange(int(cells.sum())) - (np.cumsum(cells) - cells)[seg], nb[seg])
+    return tree.perm[first[0][seg] + q], tree.perm[first[1][seg] + r]
 
 
 def optics_approx_mst(
@@ -72,15 +67,7 @@ def optics_approx_mst(
     pairs = wspd(tree, s)
     stats = GfkStats(rounds=1, pairs_materialized=int(pairs.shape[0]))
     rng = np.random.default_rng(seed)
-    # One point has no pairs: start from empty arrays.
-    all_u = [np.empty(0, dtype=np.int64)]
-    all_v = [np.empty(0, dtype=np.int64)]
-    for a, b in pairs:
-        us, vs = _pair_edges(tree, int(a), int(b), min_pts, rng)
-        all_u.append(us)
-        all_v.append(vs)
-    us = np.concatenate(all_u).astype(np.int64)
-    vs = np.concatenate(all_v).astype(np.int64)
+    us, vs = _pair_edges(tree, pairs[:, 0], pairs[:, 1], min_pts, rng)
     diff = pts[us] - pts[vs]
     d = np.sqrt(np.einsum("ij,ij->i", diff, diff))
     ws = np.maximum(d / (1.0 + rho), np.maximum(cd[us], cd[vs]))

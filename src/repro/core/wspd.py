@@ -87,16 +87,17 @@ def split_frontier(
     """FINDPAIR's split step for non-separated pairs: swap so A is the
     larger-diameter node, then replace (A, B) by (A.left, B), (A.right, B).
 
-    Pairs where both sides are singleton leaves (coincident points)
-    cannot be split; they are returned separately as ``stuck`` pair
-    rows so callers can record them (their BCCP is a 0-weight edge).
+    Pairs whose larger side is a leaf (so both sides are coincident
+    points) cannot be split; the returned mask ``stuck`` marks them,
+    so callers can record them (their BCCP is a 0-weight edge). The
+    children of the other pairs come in their order, left children
+    first: a per-pair array ``x`` follows them as ``np.tile(x[~stuck], 2)``.
     """
     swap = tree.radius[A] < tree.radius[B]
     A2 = np.where(swap, B, A)
     B2 = np.where(swap, A, B)
-    leaf = tree.left[A2] < 0
-    stuck = np.stack([A2[leaf], B2[leaf]], axis=1)
-    A2, B2 = A2[~leaf], B2[~leaf]
+    stuck = tree.left[A2] < 0
+    A2, B2 = A2[~stuck], B2[~stuck]
     nA = np.concatenate([tree.left[A2], tree.right[A2]]).astype(np.int64)
     nB = np.concatenate([B2, B2])
     return nA, nB, stuck
@@ -123,9 +124,9 @@ def wspd(
             total += rec.shape[0]
         A2, B2 = A[~ws], B[~ws]
         A, B, stuck = split_frontier(tree, A2, B2)
-        if stuck.size:
-            out.append(stuck)
-            total += stuck.shape[0]
+        if stuck.any():
+            out.append(np.stack([A2[stuck], B2[stuck]], axis=1))
+            total += int(stuck.sum())
         if max_pairs is not None and total > max_pairs:
             raise PairBudgetExceeded(f"WSPD exceeded the {max_pairs}-pair budget")
     if not out:

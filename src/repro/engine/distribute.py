@@ -2,17 +2,18 @@
 
 The paper runs on a 48-core Cilk machine; every parallel-for over
 independent heavy kernels (BCCP batches, k-NN block ranges, light-edge
-dendrogram subproblems) maps here onto one Spark DataFrame job:
+dendrogram subproblems) maps here onto one Spark job of one stage:
 
-* driver broadcasts the kd-tree (with its reordered points and core
-  distances) once per run;
-* the work list (node-id pairs, block ranges, pickled subproblems)
-  becomes a DataFrame whose rows are ordered so that Spark's own
-  partitions are balanced groups (one stage, no shuffle);
-* ``mapInPandas`` runs the identical NumPy kernels used by the
-  sequential path inside executors;
-* results return to the driver, which runs Kruskal there (vectorized,
-  ``graph/kruskal.py``).
+* the driver broadcasts the kd-tree (with its reordered points and core
+  distances) when a fan-out needs it;
+* ``_deal`` deals the work items, heaviest first, round-robin into one
+  group per executor core;
+* ``_fan_out`` sends each group pickled in its own row, which Spark
+  makes its own partition, so ``mapInPandas`` runs one task per group,
+  calling the same NumPy kernel the sequential path calls (no shuffle);
+* the results come back to the driver in group order, where each
+  caller scatters them to its items and runs Kruskal there
+  (vectorized, ``graph/kruskal.py``).
 
 Granularity control, as in the paper's parallel loops: each fan-out
 runs on the driver below a break-even amount of work, set from a
@@ -25,7 +26,7 @@ import pickle
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import SparkSession
 
 from ..core.bccp import bccp_batch
 from ..core.dendrogram import solve_subproblem_kernel
@@ -40,23 +41,35 @@ _MIN_PARALLEL_POINTS = 20_000  # k-NN: points
 _MIN_PARALLEL_EDGES = 80_000  # dendrogram: light-subproblem edges of the top level
 
 
-def _dealt(spark: SparkSession, pdf: pd.DataFrame, weight: np.ndarray) -> DataFrame:
-    """``pdf`` as a Spark DataFrame whose partitions are balanced groups:
-    heaviest rows first, dealt round-robin.
+def _deal(weights: np.ndarray, parts: int) -> list[np.ndarray]:
+    """Indices of ``weights`` dealt heaviest first, round-robin, into
+    min(len(weights), parts) groups: no two group totals differ by more
+    than the largest weight."""
+    order = np.argsort(-np.asarray(weights), kind="stable")
+    p = min(order.size, parts)
+    return [order[g::p] for g in range(p)]
 
-    Spark cuts a local DataFrame of r rows into p = min(r,
-    defaultParallelism) partitions, partition s holding rows
-    [s r // p, (s + 1) r // p), so ordering the rows is enough; a
-    ``repartition`` would add a shuffle stage.
-    """
-    r = len(pdf)
-    p = min(r, spark.sparkContext.defaultParallelism)
-    bounds = np.arange(p + 1) * r // p
-    part = np.repeat(np.arange(p), np.diff(bounds))
-    turn = np.arange(r) - bounds[part]
-    order = np.empty(r, dtype=np.int64)
-    order[np.lexsort((part, turn))] = np.argsort(-weight, kind="stable")
-    return spark.createDataFrame(pdf.iloc[order])
+
+def _fan_out(spark: SparkSession, groups: list, kernel) -> list:
+    """``kernel(group)`` for every group, in group order, as one Spark
+    job of one ``mapInPandas`` stage. Each group travels pickled in its
+    own row, and so does its result; Spark cuts a local DataFrame of at
+    most ``defaultParallelism`` rows (as ``_deal`` makes them) into one
+    partition, so one task, per row."""
+    rows = pd.DataFrame(
+        {"g": np.arange(len(groups)), "blob": [pickle.dumps(group) for group in groups]}
+    )
+
+    def run(batches):
+        for pdf in batches:
+            blobs = [pickle.dumps(kernel(pickle.loads(bytes(b)))) for b in pdf["blob"]]
+            yield pd.DataFrame({"g": pdf["g"], "blob": blobs})
+
+    res = spark.createDataFrame(rows).mapInPandas(run, "g long, blob binary").toPandas()
+    out = [None] * len(groups)
+    for g, blob in zip(res["g"], res["blob"]):
+        out[int(g)] = pickle.loads(bytes(blob))
+    return out
 
 
 def spread_cells(cells: np.ndarray) -> int:
@@ -68,9 +81,10 @@ def spread_cells(cells: np.ndarray) -> int:
 class SparkBccp:
     """Distributes BCCP / BCCP* batches for GFK and MemoGFK rounds.
 
-    Construct once per MST run, then ``bccp_many`` is called every round
-    with that round's missing pairs. The kd-tree is broadcast once, when
-    the first batch fans out.
+    Construct once per MST run, as a ``with`` scope, then ``bccp_many``
+    is called every round with that round's missing pairs. The kd-tree
+    is broadcast when the first batch fans out and unpersisted when the
+    scope exits, whether or not a round raised.
     """
 
     def __init__(self, spark: SparkSession, tree: KDTree):
@@ -78,9 +92,16 @@ class SparkBccp:
         self.tree = tree
         self._bc = None
 
+    def __enter__(self) -> SparkBccp:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.unpersist()
+
     def unpersist(self) -> None:
         if self._bc is not None:
             self._bc.unpersist()
+            self._bc = None
 
     def bccp_many(self, pairs: np.ndarray, star: bool = False) -> np.ndarray:
         """BCCP (or BCCP*) of each (node_a, node_b) row of ``pairs``.
@@ -98,33 +119,14 @@ class SparkBccp:
         if self._bc is None:
             self._bc = self.spark.sparkContext.broadcast(t)
         bc = self._bc
-        use_star = bool(star)
+        groups = _deal(cells, self.spark.sparkContext.defaultParallelism)
 
-        def compute(batches):
-            tree = bc.value
-            for b_pdf in batches:
-                e = bccp_batch(
-                    tree, b_pdf["a"].to_numpy(), b_pdf["b"].to_numpy(), use_star
-                )
-                yield pd.DataFrame(
-                    {
-                        "k": b_pdf["k"].to_numpy(),
-                        "u": e[:, 0].astype(np.int64),
-                        "v": e[:, 1].astype(np.int64),
-                        "w": e[:, 2],
-                    }
-                )
+        def kernel(ab):
+            return bccp_batch(bc.value, ab[:, 0], ab[:, 1], star)
 
-        pdf = pd.DataFrame(
-            {"k": np.arange(pairs.shape[0]), "a": pairs[:, 0], "b": pairs[:, 1]}
-        )
-        res = (
-            _dealt(self.spark, pdf, cells)
-            .mapInPandas(compute, schema="k long, u long, v long, w double")
-            .toPandas()
-        )
         out = np.empty((pairs.shape[0], 3))
-        out[res["k"].to_numpy()] = res[["u", "v", "w"]].to_numpy(dtype=np.float64)
+        for g, e in zip(groups, _fan_out(self.spark, [pairs[g] for g in groups], kernel)):
+            out[g] = e
         return out
 
 
@@ -144,31 +146,30 @@ def core_distances_spark(spark: SparkSession, tree: KDTree, min_pts: int) -> np.
     if not 1 <= min_pts <= n:
         raise ValueError("minPts must be between 1 and the number of points")
     n_blocks = blocks(tree).size
-    par = min(4 * spark.sparkContext.defaultParallelism, n_blocks)
-    bounds = np.linspace(0, n_blocks, par + 1, dtype=np.int64)
-    bc = spark.sparkContext.broadcast(tree)
+    par = spark.sparkContext.defaultParallelism
+    bounds = np.linspace(0, n_blocks, min(4 * par, n_blocks) + 1, dtype=np.int64)
     k = int(min_pts)
+    bc = spark.sparkContext.broadcast(tree)
 
-    def compute(batches):
+    def kernel(ranges):
         t = bc.value
         every = blocks(t)
-        for b_pdf in batches:
-            for a, z in zip(b_pdf["first"].to_numpy(), b_pdf["last"].to_numpy()):
-                rows = np.arange(t.lo[every[a]], t.hi[every[z - 1]])
-                cds = block_kth_distances(t, every[a:z], k)
-                yield pd.DataFrame({"row": rows, "cd": cds})
+        return [block_kth_distances(t, every[a:z], k) for a, z in ranges]
 
-    pdf = pd.DataFrame({"first": bounds[:-1], "last": bounds[1:]})
+    groups = _deal(np.diff(bounds), par)
     try:
-        res = (
-            _dealt(spark, pdf, np.diff(bounds))
-            .mapInPandas(compute, schema="row long, cd double")
-            .toPandas()
+        results = _fan_out(
+            spark, [np.column_stack([bounds[g], bounds[g + 1]]) for g in groups], kernel
         )
     finally:
         bc.unpersist()
+    # The ranges tile the point rows in order.
+    by_range = [None] * (bounds.size - 1)
+    for g, cds in zip(groups, results):
+        for r, cd in zip(g, cds):
+            by_range[r] = cd
     out = np.empty(n)
-    out[tree.perm[res["row"].to_numpy()]] = res["cd"].to_numpy()
+    out[tree.perm] = np.concatenate(by_range)
     return out
 
 
@@ -177,33 +178,20 @@ def run_payloads_spark(
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, int]]:
     """Dendrogram light-edge subproblem fan-out: solve every
     (edges, refs, base) subproblem with ``solve_subproblem_kernel``,
-    pickled into and out of executors when their edges reach the
-    break-even; returns the results in the order of ``subproblems``.
+    in executors when their edges reach the break-even; returns the
+    results in the order of ``subproblems``.
     """
     edges = np.array([e.shape[0] for e, _, _ in subproblems], dtype=np.int64)
     if not subproblems or int(edges.sum()) < _MIN_PARALLEL_EDGES:
         return [solve_subproblem_kernel(*sub) for sub in subproblems]
 
-    def compute(batches):
-        for b_pdf in batches:
-            blobs = [
-                pickle.dumps(solve_subproblem_kernel(*pickle.loads(bytes(blob))))
-                for blob in b_pdf["blob"]
-            ]
-            yield pd.DataFrame({"sub_id": b_pdf["sub_id"].to_numpy(), "blob": blobs})
+    def kernel(subs):
+        return [solve_subproblem_kernel(*sub) for sub in subs]
 
-    pdf = pd.DataFrame(
-        {
-            "sub_id": np.arange(len(subproblems)),
-            "blob": [pickle.dumps(sub) for sub in subproblems],
-        }
-    )
-    res = (
-        _dealt(spark, pdf, edges)
-        .mapInPandas(compute, schema="sub_id long, blob binary")
-        .toPandas()
-    )
+    groups = _deal(edges, spark.sparkContext.defaultParallelism)
+    results = _fan_out(spark, [[subproblems[i] for i in g] for g in groups], kernel)
     out = [None] * len(subproblems)
-    for sid, blob in zip(res["sub_id"], res["blob"]):
-        out[int(sid)] = pickle.loads(bytes(blob))
+    for g, solved in zip(groups, results):
+        for i, res in zip(g, solved):
+            out[i] = res
     return out

@@ -7,11 +7,12 @@ EXPERIMENTS.md can diff paper vs. measured numbers side by side.
 
 "1 thread" columns = the sequential NumPy implementations;
 "48 cores" columns = the same algorithms with their parallel loops run
-as Spark jobs on this machine's local[*] session (16 cores) — see
-DESIGN.md §3 for the mapping. '-' cells mean the method is not
-applicable (Delaunay beyond 2D, and in the parallel column, where it
-has no Spark path) or blew the WSPD pair budget (REPRO_MAX_PAIRS,
-default 1.5M), the analogue of the paper's out-of-memory cells.
+as Spark jobs on a local[*] session, one task slot per core (DESIGN.md
+§3 gives the mapping and its measurements, on a 4-vCPU host). '-'
+cells mean the method is not applicable (Delaunay beyond 2D, and in
+the parallel column, where it has no Spark path) or blew the WSPD pair
+budget (REPRO_MAX_PAIRS, default 1.5M), the analogue of the paper's
+out-of-memory cells.
 """
 from __future__ import annotations
 

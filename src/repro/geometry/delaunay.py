@@ -11,8 +11,16 @@ triangle's circumcircle in one vector operation. That makes the
 implementation O(n * T) arithmetic but with tiny constants — more than
 fast enough at reproduction scale, and far simpler to make robust than
 walk-based point location.
+
+Those floating-point circle tests can go wrong where points are
+cocircular (lattices, regular polygons), so the result is checked with
+exact signs before it is used (``_check_delaunay``). A result that
+passes is a Delaunay triangulation, which holds every EMST edge: an MST
+edge has no other point in its closed diametral disk.
 """
 from __future__ import annotations
+
+from fractions import Fraction
 
 import numpy as np
 
@@ -49,12 +57,97 @@ def _circumcircles(p: np.ndarray, tris: np.ndarray) -> tuple[np.ndarray, np.ndar
     return centers, r2
 
 
+def _orient(a, b, c):
+    """Twice the signed area of the triangle (a, b, c), > 0 when it is
+    counterclockwise. Points are (x, y) pairs of arrays or of numbers,
+    so the one formula runs in floats and in exact fractions."""
+    return (a[0] - c[0]) * (b[1] - c[1]) - (a[1] - c[1]) * (b[0] - c[0])
+
+
+def _incircle(a, b, c, d):
+    """> 0 when d lies strictly inside the circle through the
+    counterclockwise triangle (a, b, c), 0 when on it."""
+    (ax, ay), (bx, by), (cx, cy) = [(p[0] - d[0], p[1] - d[1]) for p in (a, b, c)]
+    return (
+        (ax * ax + ay * ay) * (bx * cy - cx * by)
+        + (bx * bx + by * by) * (cx * ay - ax * cy)
+        + (cx * cx + cy * cy) * (ax * by - bx * ay)
+    )
+
+
+def _signs(predicate, degree: int, P: np.ndarray, *corners: np.ndarray) -> np.ndarray:
+    """Exact sign of ``predicate`` (a polynomial of ``degree`` in the
+    coordinate differences to the last corner) at the rows ``corners``
+    of ``P``. The float value decides where it exceeds 2**-40 of the
+    largest difference to that power, far above its rounding error; the
+    rest are evaluated in exact fractions."""
+    pts = [(P[v, 0], P[v, 1]) for v in corners]
+    value = predicate(*pts)
+    span = np.max([np.abs(p[k] - pts[-1][k]) for p in pts[:-1] for k in (0, 1)], axis=0)
+    sign = np.sign(value)
+    for i in np.flatnonzero(~(np.abs(value) > span**degree * 2.0**-40)):
+        exact = predicate(*[(Fraction(P[v[i], 0]), Fraction(P[v[i], 1])) for v in corners])
+        sign[i] = (exact > 0) - (exact < 0)
+    return sign
+
+
+def _check_delaunay(P: np.ndarray, n: int, tris: np.ndarray) -> np.ndarray:
+    """The sorted edges (u < v < n) of the final triangles ``tris`` (rows
+    index ``P``; rows n..n+2 are the super-triangle's corners). Raises
+    ``ValueError`` unless they are a Delaunay triangulation of ``P`` with
+    a triangle on three of the n points (none exists on collinear input).
+
+    A triangulation of n + 3 points with b boundary edges has every edge
+    in one or two triangles and 2(n + 3) - 2 - b triangles; here the
+    boundary is the super-triangle's, and the two triangles of every
+    other edge lie strictly on opposite sides of it. It is Delaunay
+    where neither lies strictly inside the other's circumcircle.
+    """
+    # Half-edges (a, b) with the third corner c, grouped by edge.
+    a, b, c = (tris[:, k].ravel() for k in ([0, 1, 2], [1, 2, 0], [2, 0, 1]))
+    key = np.minimum(a, b) * (n + 3) + np.maximum(a, b)
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    count = np.diff(np.r_[starts, key.size])
+    sup = (np.array([n, n, n + 1]) * (n + 3)) + [n + 1, n + 2, n + 2]
+    inner = starts[count == 2]
+    a, b, c, d = a[order[inner]], b[order[inner]], c[order[inner]], c[order[inner + 1]]
+    side = _signs(_orient, 2, P, a, b, c)
+    if not (
+        count.max() <= 2
+        and tris.shape[0] == 2 * (n + 3) - 2 - 3
+        and np.array_equal(key[starts[count == 1]], sup)
+        and np.all(side * _signs(_orient, 2, P, a, b, d) < 0)
+        and not np.any(side * _signs(_incircle, 4, P, a, b, c, d) > 0)
+        and (tris < n).all(axis=1).any()
+    ):
+        raise ValueError(
+            "Delaunay triangles do not span the points as one triangulation "
+            "(collinear or cocircular input)"
+        )
+    key = key[starts]
+    key = key[key % (n + 3) < n]
+    return np.stack([key // (n + 3), key % (n + 3)], axis=1)
+
+
 def delaunay_edges(points: np.ndarray, seed: int = 0) -> np.ndarray:
-    """Return the (m, 2) unique undirected edge list of the Delaunay
-    triangulation of ``points`` (n, 2). Assumes generic position (random
-    data); cocircular ties resolve arbitrarily, which still preserves
-    the EMST-subgraph property for the MST use case."""
+    """Return the (m, 2) unique undirected edge list (u < v) of the
+    Delaunay triangulation of ``points`` (n, 2). The distinct points are
+    triangulated; every later copy of a point is joined to its first
+    copy by a zero-length edge. Raises ``ValueError`` where the
+    floating-point triangulation fails its exact check."""
     pts = np.asarray(points, dtype=np.float64)
+    ids = np.arange(pts.shape[0])
+    _, first, inv = np.unique(pts + 0.0, axis=0, return_index=True, return_inverse=True)
+    copy_of = first[inv.ravel()]
+    keep, dups = ids[copy_of == ids], ids[copy_of != ids]
+    edges = keep[_distinct_edges(pts[keep], seed)]
+    return np.unique(np.vstack([edges, np.column_stack([copy_of[dups], dups])]), axis=0)
+
+
+def _distinct_edges(pts: np.ndarray, seed: int) -> np.ndarray:
+    """Sorted unique Delaunay edges of the distinct points ``pts``."""
     n = pts.shape[0]
     if n < 2:
         return np.empty((0, 2), dtype=np.int64)
@@ -63,13 +156,13 @@ def delaunay_edges(points: np.ndarray, seed: int = 0) -> np.ndarray:
 
     # Relative to the min corner: far from the origin, cancellation in
     # the circumcircles' squared coordinates would eat every digit.
-    pts = pts - pts.min(axis=0)
-    hi = pts.max(axis=0)
+    low = pts.min(axis=0)
+    hi = pts.max(axis=0) - low
     span = float(np.max(hi)) or 1.0
     mid = 0.5 * hi
     # Super-triangle comfortably containing every circumcircle of interest.
     sup = mid + span * np.array([[0.0, 64.0], [-64.0, -64.0], [64.0, -64.0]])
-    P = np.vstack([pts, sup])
+    P = np.vstack([pts - low, sup])
     s0, s1, s2 = n, n + 1, n + 2
 
     cap = 8 * n + 16
@@ -125,10 +218,5 @@ def delaunay_edges(points: np.ndarray, seed: int = 0) -> np.ndarray:
             alive[:k2] = True
             m = k2
 
-    final = tris[:m][alive[:m]]
-    final = final[(final < n).all(axis=1)]  # drop super-triangle incidences
-    edges = np.vstack(
-        [final[:, [0, 1]], final[:, [1, 2]], final[:, [2, 0]]]
-    )
-    edges.sort(axis=1)
-    return np.unique(edges, axis=0)
+    # Checked on the input coordinates, with the super-triangle moved back.
+    return _check_delaunay(np.vstack([pts, sup + low]), n, tris[:m][alive[:m]])

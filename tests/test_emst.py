@@ -113,6 +113,25 @@ def test_emst_with_duplicates():
         assert np.allclose(np.sort(edges[:, 2]), ref), name
 
 
+@pytest.mark.parametrize(
+    "pts",
+    [
+        np.array(
+            [[1, 3], [1, 2.4], [2.6, 1.2], [1.3, 1.1], [0.3, 1.4], [0.7, 0.8], [0.6, 0.6], [2.4, 1.3], [1, 3]]
+        ),
+        np.vstack([_dataset("uniform", 200, 2, seed=5)] * 2),
+    ],
+    ids=["one-duplicate", "every-point-twice"],
+)
+def test_delaunay_with_duplicates_matches_prim(pts):
+    """Each later copy of a point joins its first copy by a zero-length
+    edge and only the distinct points are triangulated; inserting the
+    copy into the triangulation gave a wrong tree."""
+    edges, _ = emst_delaunay(pts)
+    assert edges.shape == (pts.shape[0] - 1, 3)
+    assert np.isclose(edges[:, 2].sum(), mst_bruteforce(pts)[:, 2].sum(), rtol=1e-12, atol=0)
+
+
 def test_delaunay_rejects_collinear_points():
     """All-collinear input has no triangles; EMST-Delaunay must fail
     rather than return a tree that does not span."""

@@ -140,3 +140,36 @@ def test_memogfk_spans_when_weights_sit_one_ulp_below_bounds(monkeypatch, method
         ref = mst_bruteforce_mutual(pts, core_distances(kdt.build(pts), min_pts))
     assert edges.shape == (143, 3)
     assert np.allclose(np.sort(edges[:, 2]), np.sort(ref[:, 2]))
+
+
+_ROUNDING_CASES = {
+    # Collinear points with duplicates: many pairs' bounds equal their
+    # weights, so a bound one ulp high sits above a pair below it.
+    "collinear-duplicates": np.outer(np.random.default_rng(0).integers(0, 25, 60), [1.0, 2.0])
+    * 0.01,
+    # A rounded lattice far from the origin: node centers are rounded,
+    # so spheres miss their points by a few 1e-9.
+    "rounded-lattice-1e9": np.round(np.random.default_rng(10).random((110, 2)) * 2, 1)
+    + [1e9, 1e9 + 0.5],
+}
+
+
+@pytest.mark.parametrize(
+    "method,min_pts",
+    [("emst", 1), ("memogfk", 1), ("gantao", 1), ("memogfk", 3), ("gantao", 3)],
+)
+@pytest.mark.parametrize("case", list(_ROUNDING_CASES))
+def test_memogfk_exact_when_bounds_round_above_a_lower_pair(method, min_pts, case):
+    """Where a pair's bound rounds above the weight of a pair below it in
+    the traversal, pruning that pair in the round of the lower pair's
+    weight used to drop the edge from every round. MemoGFK must still
+    return a tree of Prim's weight."""
+    pts = _ROUNDING_CASES[case]
+    if method == "emst":
+        edges = emst_memogfk(pts)[0]
+        ref = mst_bruteforce(pts)
+    else:
+        edges = hdbscan_mst(pts, min_pts, method)[0]
+        ref = mst_bruteforce_mutual(pts, core_distances(kdt.build(pts), min_pts))
+    assert edges.shape == (pts.shape[0] - 1, 3)
+    assert np.isclose(edges[:, 2].sum(), ref[:, 2].sum(), rtol=1e-12, atol=0)

@@ -84,3 +84,28 @@ def test_optics_rejects_min_pts_below_1(min_pts):
 def test_optics_rejects_non_positive_rho(rho):
     with pytest.raises(ValueError, match="rho"):
         optics_approx_mst(sd.uniform_fill(60, 2, seed=1), 5, rho=rho)
+
+
+@pytest.mark.parametrize("min_pts", [1, 4, 10])
+def test_pair_edges_follow_the_four_cases(min_pts):
+    """Pair by pair, the flat layout holds the cross edges of the pair's
+    two sides in row-major order, where a side of at least minPts points
+    stands for one of its own points."""
+    from repro.core.optics import _pair_edges
+    from repro.core.wspd import wspd
+
+    tree = kdt.build(sd.ss_varden(300, 2, seed=2))
+    pairs = wspd(tree, 8.0)
+    us, vs = _pair_edges(tree, pairs[:, 0], pairs[:, 1], min_pts, np.random.default_rng(0))
+    at = 0
+    for a, b in pairs:
+        A, B = tree.points_of(a), tree.points_of(b)
+        na, nb = (1 if X.size >= min_pts else X.size for X in (A, B))
+        u, v = us[at : at + na * nb], vs[at : at + na * nb]
+        at += na * nb
+        side_a, side_b = u[::nb], v[:nb]
+        for side, X in ((side_a, A), (side_b, B)):
+            assert np.isin(side, X).all() if X.size >= min_pts else np.array_equal(side, X)
+        assert np.array_equal(u, np.repeat(side_a, nb))
+        assert np.array_equal(v, np.tile(side_b, na))
+    assert at == us.size == vs.size

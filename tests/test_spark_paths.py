@@ -9,7 +9,6 @@ import itertools
 from contextlib import contextmanager
 
 import numpy as np
-import pandas as pd
 import pytest
 
 from repro import synth_data as sd
@@ -203,16 +202,64 @@ def test_spark_bccp_largest_pair_is_not_spread(spark, monkeypatch, midsize):
         ctx.unpersist()
 
 
-def test_dealt_partitions_are_balanced_groups(spark):
-    """Spark's own partitions of a dealt DataFrame are the round-robin
-    groups of the rows sorted by weight, so no two partition totals
-    differ by more than the largest weight."""
-    w = np.random.default_rng(0).integers(1, 1000, 37)
-    df = distribute._dealt(spark, pd.DataFrame({"w": w}), w)
-    totals = df.rdd.mapPartitions(lambda rows: [sum(r.w for r in rows)]).collect()
-    assert len(totals) == min(w.size, spark.sparkContext.defaultParallelism)
-    assert sum(totals) == w.sum()
-    assert max(totals) - min(totals) <= w.max()
+@pytest.mark.parametrize("n, parts", [(37, 4), (37, 64), (3, 8), (1, 4), (0, 4)])
+def test_deal_makes_balanced_groups(n, parts):
+    """Every index lands in exactly one of min(n, parts) groups, and no
+    two group totals differ by more than the largest weight."""
+    w = np.random.default_rng(n).integers(1, 1000, n)
+    groups = distribute._deal(w, parts)
+    assert len(groups) == min(n, parts)
+    assert np.array_equal(np.sort(np.concatenate(groups + [np.empty(0, int)])), np.arange(n))
+    if n:
+        totals = [int(w[g].sum()) for g in groups]
+        assert max(totals) - min(totals) <= w.max()
+
+
+def test_fan_out_is_one_task_per_group_in_group_order(spark):
+    """Any picklable result comes back, in group order, from one
+    single-stage job with one task per group."""
+    groups = [[3, 1], [], [4, 1, 5], ["a"]][: spark.sparkContext.defaultParallelism]
+    with spark_jobs(spark) as jobs:
+        got = distribute._fan_out(spark, groups, lambda g: {"items": g, "size": len(g)})
+    assert got == [{"items": g, "size": len(g)} for g in groups]
+    assert len(jobs) == 1
+    tracker = spark.sparkContext.statusTracker()
+    (stage,) = tracker.getJobInfo(jobs[0]).stageIds
+    assert tracker.getStageInfo(stage).numTasks == len(groups)
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [emst_naive, emst_gfk, emst_memogfk, lambda pts, spark: hdbscan_mst(pts, 10, spark=spark)],
+    ids=["naive", "gfk", "memogfk", "hdbscan"],
+)
+def test_failed_fan_out_still_unpersists_the_tree(spark, forced, midsize, monkeypatch, solve):
+    """``bccp_batch`` raises inside the executors: the run raises, and
+    every broadcast it made has been unpersisted."""
+    from pyspark import Broadcast
+
+    sc = spark.sparkContext
+    made, dropped = [], []
+    broadcast, unpersist = sc.broadcast, Broadcast.unpersist
+
+    def recording_broadcast(value):
+        made.append(broadcast(value))
+        return made[-1]
+
+    def recording_unpersist(self, blocking=False):
+        dropped.append(self)
+        unpersist(self, blocking)
+
+    def failing_bccp_batch(*args):
+        raise RuntimeError("bccp_batch failed on purpose")
+
+    monkeypatch.setattr(sc, "broadcast", recording_broadcast)
+    monkeypatch.setattr(Broadcast, "unpersist", recording_unpersist)
+    monkeypatch.setattr(distribute, "bccp_batch", failing_bccp_batch)
+    with pytest.raises(Exception, match="bccp_batch failed on purpose"):
+        solve(midsize, spark=spark)
+    assert made
+    assert all(any(b is d for d in dropped) for b in made)
 
 
 def test_hdbscan_pipeline_below_break_even_runs_on_driver(spark):
