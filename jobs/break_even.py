@@ -11,8 +11,9 @@ The BCCP* rows take the batch the MemoGFK rounds hand to
 ``SparkBccp.bccp_many`` with the most cells outside its largest pair
 (``spread_cells``, the unit of the BCCP break-even), and subsets of it:
 its largest pair plus random other pairs holding 1/8, 1/4 and 1/2 of
-those cells. DESIGN.md Section 3 records a run; the
-break-even constants are set from it.
+those cells. The dendrogram rows count the band edges the fan-out
+deals. DESIGN.md Section 3 records a run; the break-even constants are
+set from it.
 """
 import argparse
 import time
@@ -42,7 +43,7 @@ def main() -> None:
     from repro import synth_data as sd
     from repro.core import hdbscan
     from repro.core.bccp import bccp_batch
-    from repro.core.dendrogram import _HEAVY_FRAC, dendrogram_topdown
+    from repro.core.dendrogram import dendrogram_topdown
     from repro.engine import distribute
     from repro.geometry import kdtree
     from repro.geometry.knn import core_distances
@@ -102,9 +103,9 @@ def main() -> None:
                 lambda: ctx.bccp_many(b, star=True),
             )
         ctx.unpersist()
-        light = (n - 1) - int(np.ceil((n - 1) * _HEAVY_FRAC))
+        # The fan-out deals every band, so all n - 1 tree edges.
         row(
-            "dendrogram", n, light,
+            "dendrogram", n, edges.shape[0],
             lambda: dendrogram_topdown(edges, 0),
             lambda: dendrogram_topdown(edges, 0, spark=spark),
         )

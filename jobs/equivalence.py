@@ -8,13 +8,15 @@ on four degenerate inputs (5x duplicates, identical points, a +1e9
 translation and an integer lattice), everything that reads the kd-tree:
 the tree arrays with the core-distance summaries (min_pts = 10), the
 MST edges of EMST-Naive, -GFK and -MemoGFK, of HDBSCAN* under both
-methods and of approximate OPTICS (seed 0), the reachability plots of
-the top-down and the bottom-up dendrogram over the HDBSCAN*-MemoGFK
-MST, and the flat clusterings at three eps quantiles of the MST
-weights: single linkage over the EMST-MemoGFK MST and DBSCAN* over the
-HDBSCAN*-MemoGFK MST. Cluster ids are renumbered by smallest member
-before they are saved, so that two numberings of one partition compare
-equal. All of it runs on the driver, without Spark.
+methods and of approximate OPTICS (seed 0), the node arrays
+(left/right/weight/root; node ids are edge ranks, so they compare bit
+for bit) and reachability plots of the top-down and the bottom-up
+dendrogram over the HDBSCAN*-MemoGFK MST, and the flat clusterings at
+three eps quantiles of the MST weights: single linkage over the
+EMST-MemoGFK MST and DBSCAN* over the HDBSCAN*-MemoGFK MST. Cluster ids
+are renumbered by smallest member before they are saved, so that two
+numberings of one partition compare equal. All of it runs on the
+driver, without Spark.
 
 ``compare`` prints every array that differs between two dumps (in
 shape, dtype or any value) or is present in only one, and exits 1 if
@@ -79,12 +81,11 @@ def outputs(pts: np.ndarray) -> dict[str, np.ndarray]:
     for method in ("memogfk", "gantao"):
         out[f"hdbscan_{method}"] = hdbscan_mst(pts, _MIN_PTS, method)[0]
     out["optics_approx"] = optics_approx_mst(pts, _MIN_PTS, seed=0)[0]
-    order, bars = dendrogram_topdown(out["hdbscan_memogfk"]).reachability()
-    out["reachability.order"] = order
-    out["reachability.bars"] = bars
-    order, bars = dendrogram_sequential(out["hdbscan_memogfk"]).reachability()
-    out["reachability_sequential.order"] = order
-    out["reachability_sequential.bars"] = bars
+    for suffix, build in (("", dendrogram_topdown), ("_sequential", dendrogram_sequential)):
+        dend = build(out["hdbscan_memogfk"])
+        for a in ("left", "right", "weight", "root"):
+            out[f"dendrogram{suffix}.{a}"] = np.asarray(getattr(dend, a))
+        out[f"reachability{suffix}.order"], out[f"reachability{suffix}.bars"] = dend.reachability()
     emst, hdb = out["emst_memogfk"], out["hdbscan_memogfk"]
     for q in _EPS_QUANTILES:
         eps = float(np.quantile(emst[:, 2], q))

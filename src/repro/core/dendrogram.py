@@ -7,17 +7,24 @@ nodes are the tree edges (split heights = edge weights) and whose
 in-order leaf traversal is exactly Prim's visit order from s — i.e. the
 reachability plot (Theorem 4.2).
 
-Two constructions, which must agree (tests enforce it):
+Node t is the tree edge of rank t in stable weight order, so the root
+is node n - 2, and its left child holds the endpoint nearer s in hops
+(the ordering rule of Theorem 4.2). Under the strict order (weight,
+rank) the ordered dendrogram is unique: node t's children are the
+roots of its endpoints' components among the lower-rank edges, and a
+component's root is its maximum-rank edge. Two constructions return
+equal arrays (tests enforce it):
 
 * ``dendrogram_sequential`` — the classic bottom-up agglomerative
-  algorithm (sort edges, merge with union-find), ordering each internal
-  node's children by the vertex distances of the edge endpoints.
-* ``dendrogram_topdown`` — the paper's novel divide-and-conquer: take
-  the heaviest ~n/10 edges ("heavy"), solve each light-edge component
-  and the contracted heavy problem recursively, and graft light roots
-  into the heavy dendrogram's leaves. With a SparkSession, the
-  top-level light subproblems are solved in one Spark fan-out once
-  their edges reach its break-even (the paper's implementation note:
+  algorithm: one union-find pass over the edges in rank order.
+* ``dendrogram_topdown`` — the paper's divide-and-conquer, which takes
+  the heaviest ~n/10 edges as the heavy subproblem and recurses on the
+  light edges. Its light-edge recursion is unrolled into bands of rank
+  order (``_bands``): each level's heavy edges, contracted by the
+  components of all lighter edges. Since a component's root is known
+  without solving it, every band is independent of the others. With a
+  SparkSession the bands are solved in one Spark fan-out once their
+  edges reach its break-even (the paper's implementation note:
   parallelism across subproblems).
 
 Node encoding: the dendrogram over n leaves has n-1 internal nodes in
@@ -34,7 +41,7 @@ from pyspark.sql import SparkSession
 
 from ..graph.kruskal import spanning_forest
 
-# Subproblems at or below this edge count are solved bottom-up.
+# Bands hold at most this many edges; each is solved bottom-up.
 _SEQ_CUTOFF = 256
 _HEAVY_FRAC = 0.1  # the paper's n/10 heavy edges
 
@@ -90,8 +97,8 @@ class Dendrogram:
 
 def vertex_distances(n: int, edges: np.ndarray, s: int = 0) -> np.ndarray:
     """Unweighted hop distance from s in the tree (BFS) — the paper's
-    'vertex distances', computed once and reused at every recursion
-    level (their Euler-tour list-ranking step)."""
+    'vertex distances' (their Euler-tour list-ranking step), from which
+    every edge's left/right side is set once."""
     heads = np.concatenate([edges[:, 0], edges[:, 1]]).astype(np.int64)
     tails = np.concatenate([edges[:, 1], edges[:, 0]]).astype(np.int64)
     order = np.argsort(heads, kind="stable")
@@ -111,213 +118,150 @@ def vertex_distances(n: int, edges: np.ndarray, s: int = 0) -> np.ndarray:
     return np.array(dist, dtype=np.int64)
 
 
-class _Builder:
-    """Accumulates the internal nodes with global ids [base, base + size)
-    across recursion."""
-
-    def __init__(self, size: int, base: int = 0):
-        self.left = np.empty(size, dtype=np.int64)
-        self.right = np.empty(size, dtype=np.int64)
-        self.weight = np.empty(size)
-        self.base = base
-        self.next_id = base
-
-
 def _bottom_up(
-    edges: np.ndarray, refs: np.ndarray, builder: _Builder
-) -> int:
-    """Classic agglomerative construction on one subproblem.
-
-    ``edges`` is (m, 5): [u, v, w, vdist_u, vdist_v] with u, v local
-    vertex ids in [0, m]; ``refs[i]`` is the global child ref standing
-    for local vertex i (a true leaf, or the root of an already-solved
-    lighter subproblem — that is how the top-down recursion grafts
-    light dendrograms into heavy leaves). Returns the root ref.
+    t: int, lu: np.ndarray, lv: np.ndarray, refs: np.ndarray
+) -> tuple[list[int], list[int]]:
+    """Classic agglomerative construction over a forest whose edges are
+    already in rank order: edge i joins local vertices lu[i] (the left
+    side) and lv[i] and becomes node t + i. ``refs[k]`` is the child ref
+    standing for local vertex k: a leaf, or the root of a solved
+    lower-rank component (that is how the top-down bands graft lighter
+    dendrograms in). Returns the children (left, right) of nodes
+    t, t + 1, ...
     """
-    m = edges.shape[0]
-    e = edges[np.argsort(edges[:, 2], kind="stable")]
-    us = e[:, 0].astype(np.int64).tolist()
-    vs = e[:, 1].astype(np.int64).tolist()
-    # Ordering rule (Theorem 4.2): the side holding the endpoint with
-    # the smaller vertex distance goes left.
-    u_left = (e[:, 3] <= e[:, 4]).tolist()
-    parent = list(range(m + 1))
-    size = [1] * (m + 1)
+    m = lu.size
+    parent = list(range(refs.size))
+    size = [1] * refs.size
     comp_root = refs.tolist()  # child ref of each union-find root
     left, right = [0] * m, [0] * m
-    node = builder.next_id
-    for t in range(m):
-        ru, rv = us[t], vs[t]
+    for i, (ru, rv) in enumerate(zip(lu.tolist(), lv.tolist())):
         while parent[ru] != ru:  # find, with path halving
             parent[ru] = ru = parent[parent[ru]]
         while parent[rv] != rv:
             parent[rv] = rv = parent[parent[rv]]
-        if u_left[t]:
-            left[t], right[t] = comp_root[ru], comp_root[rv]
-        else:
-            left[t], right[t] = comp_root[rv], comp_root[ru]
+        left[i], right[i] = comp_root[ru], comp_root[rv]
         if size[ru] < size[rv]:
             ru, rv = rv, ru
         parent[rv] = ru
         size[ru] += size[rv]
-        comp_root[ru] = node + t
-    ids = slice(node - builder.base, node - builder.base + m)
-    builder.left[ids], builder.right[ids], builder.weight[ids] = left, right, e[:, 2]
-    builder.next_id += m
-    return node + m - 1 if m else int(refs[0])
+        comp_root[ru] = t + i
+    return left, right
 
 
-def _split_subproblems(
-    edges: np.ndarray,
-) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
-    """One level of the top-down recursion.
+def _bands(t: int, lu: np.ndarray, lv: np.ndarray, refs: np.ndarray, out: list) -> None:
+    """Cut a rank-ordered forest (``_bottom_up``'s arguments) into
+    independent bands of at most ``_SEQ_CUTOFF`` edges, appended to
+    ``out`` as ``_bottom_up`` arguments.
 
-    Splits ``edges`` (local ids 0..k-1) into the heavy subproblem and
-    the light components. Returns (heavy_edges_localized, lights,
-    comp_of_vertex) where ``lights`` is a list of (light_edges_localized,
-    member_local_vertices); heavy edge endpoints are component ids and
-    the per-edge endpoint vdists are preserved for the ordering rule.
+    The top-down recursion peels the heaviest ceil(m_j / 10) edges off
+    the light chain m_0 = m, m_{j+1} = m_j - ceil(m_j / 10) until
+    m_j <= _SEQ_CUTOFF: the bands are [0, m_J) and every level's heavy
+    subproblem [m_{j+1}, m_j), contracted by the components of all
+    lighter edges. A component's ref is its maximum-rank edge, the root
+    of its dendrogram, so it is known without solving the component and
+    no band waits for another. A band of more edges recurses the same
+    way.
     """
-    m = edges.shape[0]
-    k = m + 1
-    h = max(1, int(np.ceil(m * _HEAVY_FRAC)))
-    # h heaviest edges are heavy (paper: n/10). Ties broken stably.
-    order = np.argsort(-edges[:, 2], kind="stable")
-    heavy_idx = order[:h]
-    light_idx = order[h:]
-    comp = np.arange(k)
-    light_uv = edges[light_idx, :2].astype(np.int64)
-    spanning_forest(comp, light_uv[:, 0], light_uv[:, 1])
-    comp_of_vertex = np.unique(comp, return_inverse=True)[1]
-
-    # Light components -> localized subproblems (group light edges by
-    # component with one sort; localize endpoints with searchsorted).
-    lights: list[tuple[np.ndarray, np.ndarray]] = []
-    if light_idx.size:
-        le = edges[light_idx]
-        comp_of_edge = comp_of_vertex[le[:, 0].astype(np.int64)]
-        grp = np.argsort(comp_of_edge, kind="stable")
-        le = le[grp]
-        comp_sorted = comp_of_edge[grp]
-        cuts = np.flatnonzero(np.diff(comp_sorted)) + 1
-        for sub in np.split(le, cuts):
-            members = np.unique(
-                np.concatenate([sub[:, 0], sub[:, 1]]).astype(np.int64)
-            )
-            sub_local = sub.copy()
-            sub_local[:, 0] = np.searchsorted(members, sub[:, 0].astype(np.int64))
-            sub_local[:, 1] = np.searchsorted(members, sub[:, 1].astype(np.int64))
-            lights.append((sub_local, members))
-
-    he = edges[heavy_idx].copy()
-    he[:, 0] = comp_of_vertex[he[:, 0].astype(np.int64)]
-    he[:, 1] = comp_of_vertex[he[:, 1].astype(np.int64)]
-    return he, lights, comp_of_vertex
-
-
-def _solve(
-    edges: np.ndarray,
-    refs: np.ndarray,
-    builder: _Builder,
-    spark: SparkSession | None = None,
-) -> int:
-    """Recursive top-down solve; returns the root ref. With ``spark``,
-    this level's light subproblems go through the Spark fan-out."""
-    m = edges.shape[0]
-    if m == 0:
-        return int(refs[0])
+    m = lu.size
     if m <= _SEQ_CUTOFF:
-        return _bottom_up(edges, refs, builder)
-    he, lights, comp_of_vertex = _split_subproblems(edges)
-    n_comp = int(comp_of_vertex.max()) + 1
-    comp_refs = np.empty(n_comp, dtype=np.int64)
-    # Singleton components keep their original refs (vectorized).
-    counts = np.bincount(comp_of_vertex, minlength=n_comp)
-    singles = np.flatnonzero(counts[comp_of_vertex] == 1)
-    comp_refs[comp_of_vertex[singles]] = refs[singles]
-    # Light subproblems first (their roots become heavy leaves).
+        out.append((t, lu, lv, refs))
+        return
+    cuts = [m]
+    while cuts[-1] > _SEQ_CUTOFF:
+        cuts.append(cuts[-1] - max(1, int(np.ceil(cuts[-1] * _HEAVY_FRAC))))
+    cuts = [0] + cuts[::-1]
+    comp = np.arange(refs.size)  # component label of each vertex
+    ref = refs.copy()  # the ref of each component, at its label
+    for a, b in zip(cuts, cuts[1:]):
+        ends = np.concatenate([comp[lu[a:b]], comp[lv[a:b]]])
+        labels, local = np.unique(ends, return_inverse=True)
+        bu, bv = local[: b - a], local[b - a :]
+        _bands(t + a, bu, bv, ref[labels], out)
+        # Contract this band too, for the bands above it.
+        merged = np.arange(labels.size)
+        spanning_forest(merged, bu, bv)
+        np.maximum.at(ref, labels[merged[bu]], np.arange(t + a, t + b))
+        relabel = np.arange(refs.size)
+        relabel[labels] = labels[merged]
+        comp = relabel[comp]
+
+
+def solve_subproblem_kernel(bands: list) -> list[tuple[list[int], list[int]]]:
+    """The band kernel, on the driver and in Spark executors: the
+    children (left, right) of every ``_bands`` band, solved bottom-up."""
+    return [_bottom_up(*band) for band in bands]
+
+
+def _solve_bands(
+    lu: np.ndarray, lv: np.ndarray, refs: np.ndarray, spark: SparkSession | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Top-down solve: cut the forest into bands, solve them (with
+    ``spark``, through the Spark fan-out) and scatter their children by
+    rank."""
+    bands: list = []
+    _bands(0, lu, lv, refs, bands)
     if spark is None:
-        roots = [_solve(sub, refs[members], builder) for sub, members in lights]
+        solved = solve_subproblem_kernel(bands)
     else:
-        roots = _solve_remote(spark, lights, refs, builder)
-    for (_, members), root in zip(lights, roots):
-        comp_refs[comp_of_vertex[members[0]]] = root
-    return _solve(he, comp_refs, builder)
+        from ..engine.distribute import run_payloads_spark
 
-
-def _solve_remote(
-    spark: SparkSession,
-    lights: list[tuple[np.ndarray, np.ndarray]],
-    refs: np.ndarray,
-    builder: _Builder,
-) -> list[int]:
-    """Solve the light subproblems through the Spark fan-out; returns
-    their roots.
-
-    A subproblem with m edges creates exactly m internal nodes, so each
-    one is handed the id range the driver-side loop would give it. The
-    solved nodes then carry their final ids and are copied in as
-    slices, bit-identical to solving on the driver.
-    """
-    from ..engine.distribute import run_payloads_spark
-
-    sizes = [sub.shape[0] for sub, _ in lights]
-    bases = builder.next_id + np.cumsum([0] + sizes)
-    subproblems = [
-        (sub, refs[members], int(base)) for (sub, members), base in zip(lights, bases)
-    ]
-    roots = []
-    for k, (left, right, weight, root) in enumerate(run_payloads_spark(spark, subproblems)):
-        ids = slice(bases[k] - builder.base, bases[k + 1] - builder.base)
-        builder.left[ids], builder.right[ids], builder.weight[ids] = left, right, weight
-        roots.append(root)
-    builder.next_id = int(bases[-1])
-    return roots
-
-
-def solve_subproblem_kernel(edges: np.ndarray, refs: np.ndarray, base: int):
-    """Executor-side kernel for one Spark-dispatched light subproblem:
-    local vertex i stands for the global ref ``refs[i]`` and the m new
-    internal nodes take the global ids [base, base + m). Returns
-    (left, right, weight, root)."""
-    builder = _Builder(edges.shape[0], base)
-    root = _solve(edges, refs, builder)
-    return builder.left, builder.right, builder.weight, root
+        solved = run_payloads_spark(spark, bands)
+    left = np.empty(lu.size, dtype=np.int64)
+    right = np.empty(lu.size, dtype=np.int64)
+    for (t, band_u, _, _), (band_left, band_right) in zip(bands, solved):
+        left[t : t + band_u.size] = band_left
+        right[t : t + band_u.size] = band_right
+    return left, right
 
 
 def _dendrogram(edges: np.ndarray, s: int, solve) -> Dendrogram:
     """Ordered dendrogram of a spanning tree's (n-1, 3) [u, v, w] edges
-    from start vertex s, built by ``solve(edges5, leaf_refs, builder)``
-    over the (n-1, 5) [u, v, w, vdist_u, vdist_v] rows."""
+    from start vertex s. Node t is the edge of rank t in stable weight
+    order, its left side the endpoint nearer s in hops (Theorem 4.2's
+    ordering rule); ``solve(lu, lv, leaf_refs)`` returns the children
+    as ``_bottom_up`` does for t = 0."""
+    edges = np.asarray(edges)
+    if edges.ndim != 2 or edges.shape[1] != 3:
+        raise ValueError(f"edges must be (m, 3) [u, v, w] rows, not of shape {edges.shape}")
     n = edges.shape[0] + 1
+    if not np.isfinite(edges[:, 2]).all():
+        raise ValueError("edge weights must be finite")
+    ids = edges[:, :2]
+    if not (np.array_equal(ids, np.floor(ids)) and ((ids >= 0) & (ids < n)).all()):
+        raise ValueError(f"vertex ids must be integers in [0, {n - 1}]")
     if not 0 <= s < n:
         raise ValueError(f"start vertex {s} is outside [0, {n})")
     vd = vertex_distances(n, edges, s)
-    e5 = np.column_stack([edges[:, :3], vd[edges[:, :2].astype(np.int64)]])
-    builder = _Builder(n - 1)
-    root = solve(e5, leaf_ref(np.arange(n)), builder)
-    return Dendrogram(n, builder.left, builder.right, builder.weight, root)
+    order = np.argsort(edges[:, 2], kind="stable")
+    u, v = ids[order].astype(np.int64).T
+    flip = vd[u] > vd[v]
+    left, right = solve(np.where(flip, v, u), np.where(flip, u, v), leaf_ref(np.arange(n)))
+    return Dendrogram(
+        n,
+        np.asarray(left, dtype=np.int64),
+        np.asarray(right, dtype=np.int64),
+        edges[order, 2].astype(np.float64),
+        n - 2 if n > 1 else leaf_ref(0),
+    )
 
 
 def dendrogram_sequential(edges: np.ndarray, s: int = 0) -> Dendrogram:
     """Bottom-up ordered dendrogram over a spanning tree's (n-1, 3)
     [u, v, w] edges — the sequential baseline of Section 4."""
-    return _dendrogram(edges, s, _bottom_up)
+    return _dendrogram(edges, s, lambda lu, lv, refs: _bottom_up(0, lu, lv, refs))
 
 
 def dendrogram_topdown(
     edges: np.ndarray, s: int = 0, spark: SparkSession | None = None
 ) -> Dendrogram:
-    """The paper's top-down divide-and-conquer ordered dendrogram.
+    """The paper's top-down divide-and-conquer ordered dendrogram, with
+    its recursion unrolled into independent bands (``_bands``).
 
-    With ``spark``, the top level's light-edge subproblems are solved in
-    one Spark fan-out (each by the same recursion, in an executor) and
-    grafted into the heavy-edge dendrogram computed on the driver; below
-    the fan-out's break-even they are solved on the driver.
+    With ``spark``, the bands are solved in one Spark fan-out once their
+    edges reach its break-even, and on the driver below it; either way
+    the arrays equal ``dendrogram_sequential``'s.
     """
-    return _dendrogram(
-        edges, s, lambda e5, refs, builder: _solve(e5, refs, builder, spark)
-    )
+    return _dendrogram(edges, s, lambda lu, lv, refs: _solve_bands(lu, lv, refs, spark))
 
 
 def single_linkage_labels(

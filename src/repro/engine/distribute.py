@@ -1,8 +1,8 @@
 """Spark fan-out of the paper's shared-memory parallel loops.
 
 The paper runs on a 48-core Cilk machine; every parallel-for over
-independent heavy kernels (BCCP batches, k-NN block ranges, light-edge
-dendrogram subproblems) maps here onto one Spark job of one stage:
+independent heavy kernels (BCCP batches, k-NN block ranges, dendrogram
+bands) maps here onto one Spark job of one stage:
 
 * the driver broadcasts the kd-tree (with its reordered points and core
   distances) when a fan-out needs it;
@@ -38,7 +38,7 @@ from ..geometry.kdtree import KDTree
 # measured, at 80 000 points; the driver won every row up to there.
 _MIN_PARALLEL_CELLS = 500_000_000  # BCCP*: cross cells a batch can spread
 _MIN_PARALLEL_POINTS = 20_000  # k-NN: points
-_MIN_PARALLEL_EDGES = 80_000  # dendrogram: light-subproblem edges of the top level
+_MIN_PARALLEL_EDGES = 80_000  # dendrogram: band edges
 
 
 def _deal(weights: np.ndarray, parts: int) -> list[np.ndarray]:
@@ -173,24 +173,18 @@ def core_distances_spark(spark: SparkSession, tree: KDTree, min_pts: int) -> np.
     return out
 
 
-def run_payloads_spark(
-    spark: SparkSession, subproblems: list[tuple[np.ndarray, np.ndarray, int]]
-) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, int]]:
-    """Dendrogram light-edge subproblem fan-out: solve every
-    (edges, refs, base) subproblem with ``solve_subproblem_kernel``,
-    in executors when their edges reach the break-even; returns the
-    results in the order of ``subproblems``.
+def run_payloads_spark(spark: SparkSession, bands: list) -> list:
+    """Dendrogram band fan-out: ``solve_subproblem_kernel`` over the
+    (t, lu, lv, refs) bands of ``dendrogram._bands``, dealt by edge
+    count to executors once their edges reach the break-even; returns
+    each band's (left, right) in the order of ``bands``.
     """
-    edges = np.array([e.shape[0] for e, _, _ in subproblems], dtype=np.int64)
-    if not subproblems or int(edges.sum()) < _MIN_PARALLEL_EDGES:
-        return [solve_subproblem_kernel(*sub) for sub in subproblems]
-
-    def kernel(subs):
-        return [solve_subproblem_kernel(*sub) for sub in subs]
-
+    edges = np.array([band[1].size for band in bands], dtype=np.int64)
+    if int(edges.sum()) < _MIN_PARALLEL_EDGES:
+        return solve_subproblem_kernel(bands)
     groups = _deal(edges, spark.sparkContext.defaultParallelism)
-    results = _fan_out(spark, [[subproblems[i] for i in g] for g in groups], kernel)
-    out = [None] * len(subproblems)
+    results = _fan_out(spark, [[bands[i] for i in g] for g in groups], solve_subproblem_kernel)
+    out = [None] * len(bands)
     for g, solved in zip(groups, results):
         for i, res in zip(g, solved):
             out[i] = res

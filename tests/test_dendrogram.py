@@ -9,7 +9,6 @@ from repro import synth_data as sd
 from repro.core.dendrogram import (
     Dendrogram,
     _bottom_up,
-    _Builder,
     dendrogram_sequential,
     dendrogram_topdown,
     single_linkage_labels,
@@ -59,15 +58,37 @@ def test_reachability_matches_prim(builder, shape, n):
         assert np.allclose(bars[1:], bars_ref[1:])
 
 
-@pytest.mark.parametrize("n", [10, 200, 1500])
+def assert_same_dendrogram(got, want):
+    """Equal node arrays, root and reachability plot."""
+    assert got.root == want.root
+    for name in ("left", "right", "weight"):
+        x, y = getattr(got, name), getattr(want, name)
+        assert x.dtype == y.dtype and np.array_equal(x, y), name
+    for x, y in zip(got.reachability(), want.reachability()):
+        assert np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("n", [10, 200, 1500, 3000])
 def test_topdown_equals_sequential(n):
-    edges = _random_tree(n, seed=n, shape="mst")
-    d1 = dendrogram_sequential(edges, 0)
-    d2 = dendrogram_topdown(edges, 0)
-    o1, b1 = d1.reachability()
-    o2, b2 = d2.reachability()
-    assert np.array_equal(o1, o2)
-    assert np.allclose(b1[1:], b2[1:])
+    """Node t is the edge of rank t in stable weight order under both
+    constructions, so they return equal arrays on every tree shape, ties
+    included: the weights take 4 values, and at 3000 points a band of
+    the light chain is itself cut into bands."""
+    for shape in SHAPES:
+        edges = _random_tree(n, seed=n, shape=shape)
+        edges[:, 2] = np.random.default_rng(n).integers(0, 4, n - 1)
+        for s in {0, n // 3, n - 1}:
+            assert_same_dendrogram(dendrogram_topdown(edges, s), dendrogram_sequential(edges, s))
+
+
+def test_topdown_equals_sequential_on_hdbscan_mst():
+    """Mutual-reachability weights tie wherever a core distance wins."""
+    from repro.core.hdbscan import hdbscan_mst
+
+    edges = hdbscan_mst(sd.ss_varden(3000, 3, seed=4), 10)[0]
+    assert np.unique(edges[:, 2]).size < edges.shape[0]
+    for s in (0, 1500):
+        assert_same_dendrogram(dendrogram_topdown(edges, s), dendrogram_sequential(edges, s))
 
 
 @pytest.mark.parametrize("shape", SHAPES)
@@ -87,60 +108,41 @@ def test_internal_weights_are_edge_weights():
     assert np.allclose(np.sort(dend.weight), np.sort(edges[:, 2]))
 
 
-def _reference_bottom_up(edges, refs, builder):
+def _reference_bottom_up(t, lu, lv, refs):
     """The per-edge ``UnionFind`` form of ``_bottom_up``, kept as its
-    reference: one internal node per edge in stable weight order, the
-    endpoint with the smaller vertex distance on the left."""
-    m = edges.shape[0]
-    uf = UnionFind(m + 1)
-    comp_root = {i: int(refs[i]) for i in range(m + 1)}
-    root = int(refs[0])
-    for idx in np.argsort(edges[:, 2], kind="stable"):
-        u, v, w, vdu, vdv = edges[idx]
-        u, v = int(u), int(v)
-        cu, cv = comp_root[uf.find(u)], comp_root[uf.find(v)]
-        root = builder.next_id
-        k = root - builder.base
-        builder.left[k], builder.right[k] = (cu, cv) if vdu <= vdv else (cv, cu)
-        builder.weight[k] = float(w)
-        builder.next_id += 1
+    reference: edge i, in the given order, becomes node t + i with the
+    components of lu[i] and lv[i] as its left and right children."""
+    uf = UnionFind(refs.size)
+    comp_root = {i: int(refs[i]) for i in range(refs.size)}
+    left, right = [], []
+    for i, (u, v) in enumerate(zip(lu.tolist(), lv.tolist())):
+        left.append(comp_root[uf.find(u)])
+        right.append(comp_root[uf.find(v)])
         uf.union(u, v)
-        comp_root[uf.find(u)] = root
-    return root
+        comp_root[uf.find(u)] = t + i
+    return left, right
 
 
 @pytest.mark.parametrize("seed", range(40))
 def test_bottom_up_matches_reference(seed):
-    """Random local trees with tied weights and tied vertex distances,
-    refs mixing leaves and solved roots, and a builder whose ids start
-    at a nonzero base with some ids already taken (a Spark subproblem
-    inside a recursion)."""
+    """Random forests with tied weights and tied vertex distances, put in
+    rank order and oriented as ``_dendrogram`` does, under refs mixing
+    leaves and lower-rank nodes and a random first rank t."""
     rng = np.random.default_rng(seed)
-    m = int(rng.integers(0, 60))
-    parent = [int(rng.integers(0, i)) for i in range(1, m + 1)]
-    label = rng.permutation(m + 1)
-    edges = np.column_stack(
-        [
-            label[parent] if m else np.empty(0),
-            label[1:],
-            rng.integers(0, 4, m).astype(np.float64),  # ties
-            rng.integers(0, 3, m),
-            rng.integers(0, 3, m),
-        ]
-    ).astype(np.float64).reshape(m, 5)
-    refs = rng.permutation(np.arange(-(m + 1), m + 1))[: m + 1]
-    base, taken = int(rng.integers(1, 1000)), int(rng.integers(0, 5))
-    built = []
-    for fn in (_bottom_up, _reference_bottom_up):
-        b = _Builder(m + taken, base)
-        b.next_id += taken
-        b.left[:taken] = b.right[:taken] = b.weight[:taken] = -7
-        root = fn(edges, refs, b)
-        built.append((root, b.next_id, b.left, b.right, b.weight))
-    (root, nxt, *arrays), (root_ref, nxt_ref, *arrays_ref) = built
-    assert (root, nxt) == (root_ref, nxt_ref)
-    for x, y in zip(arrays, arrays_ref):
-        assert x.dtype == y.dtype and np.array_equal(x, y)
+    k = int(rng.integers(1, 70))
+    parent = np.array([int(rng.integers(0, i)) for i in range(1, k)], dtype=np.int64)
+    label = rng.permutation(k)
+    kept = rng.random(k - 1) < 0.8
+    us, vs = label[parent[kept]], label[1:][kept]
+    order = np.argsort(rng.integers(0, 4, us.size), kind="stable")  # ties
+    us, vs = us[order], vs[order]
+    vd = rng.integers(0, 3, k)
+    flip = vd[us] > vd[vs]
+    lu, lv = np.where(flip, vs, us), np.where(flip, us, vs)
+    t = int(rng.integers(0, 1000))
+    refs = rng.permutation(np.arange(-k, t))[:k]
+    left, right = _bottom_up(t, lu, lv, refs)
+    assert (left, right) == _reference_bottom_up(t, lu, lv, refs)
 
 
 @pytest.mark.parametrize("n", [2, 5, 64, 400])
@@ -218,6 +220,31 @@ def test_single_leaf_tree():
     assert isinstance(d, Dendrogram)
     order, bars = d.reachability()
     assert order.tolist() == [0] and bars[0] == np.inf
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("builder", [dendrogram_sequential, dendrogram_topdown])
+@pytest.mark.parametrize(
+    "edges, match",
+    [
+        (np.array([[0.0, 1.0], [1.0, 2.0]]), r"\(m, 3\)"),
+        (np.zeros(3), r"\(m, 3\)"),
+        (np.zeros((2, 4)), r"\(m, 3\)"),
+        (np.array([[0.0, 1.0, _NAN], [1.0, 2.0, 1.0]]), "finite"),
+        (np.array([[0.0, 1.0, 1.0], [1.0, 2.0, -_INF]]), "finite"),
+        (np.array([[0.0, 5.0, 1.0], [1.0, 2.0, 1.0]]), "vertex ids"),
+        (np.array([[-1.0, 1.0, 1.0], [1.0, 2.0, 1.0]]), "vertex ids"),
+        (np.array([[0.0, 1.5, 1.0], [1.0, 2.0, 1.0]]), "vertex ids"),
+        (np.array([[0.0, _NAN, 1.0], [1.0, 2.0, 1.0]]), "vertex ids"),
+    ],
+    ids=["2-columns", "1-d", "4-columns", "nan-weight", "inf-weight",
+         "id-above-m", "negative-id", "fractional-id", "nan-id"],
+)
+def test_bad_edges_raise(builder, edges, match):
+    with pytest.raises(ValueError, match=match):
+        builder(edges)
 
 
 @pytest.mark.parametrize("builder", [dendrogram_sequential, dendrogram_topdown])

@@ -20,6 +20,7 @@ from repro.engine import distribute
 from repro.engine.distribute import SparkBccp, core_distances_spark
 from repro.geometry import kdtree as kdt
 from repro.geometry.knn import core_distances as cd_seq
+from tests.test_dendrogram import assert_same_dendrogram
 
 
 @pytest.fixture(scope="module")
@@ -131,32 +132,45 @@ def varden_mst():
     return edges
 
 
-def test_dendrogram_spark_equals_driver(spark, forced, varden_mst):
+def test_dendrogram_spark_equals_driver(spark, forced, varden_mst, monkeypatch):
+    """The bands go out in one job with one task per group (as many
+    groups as bands, up to the executor cores), and the arrays come back
+    equal to the bottom-up ones."""
+    dealt = []
+    run = distribute.run_payloads_spark
+
+    def recording(spark, bands):
+        dealt.append(len(bands))
+        return run(spark, bands)
+
+    monkeypatch.setattr(distribute, "run_payloads_spark", recording)
     edges = varden_mst
     d_seq = dendrogram_sequential(edges, 0)
     with spark_jobs(spark) as jobs:
         d_par = dendrogram_topdown(edges, 0, spark=spark)
-    assert len(jobs) == 1
-    o1, b1 = d_seq.reachability()
-    o2, b2 = d_par.reachability()
+    assert len(jobs) == 1 and len(dealt) == 1 and dealt[0] >= 2
+    tracker = spark.sparkContext.statusTracker()
+    (stage,) = tracker.getJobInfo(jobs[0]).stageIds
+    groups = min(dealt[0], spark.sparkContext.defaultParallelism)
+    assert tracker.getStageInfo(stage).numTasks == groups
+    assert_same_dendrogram(d_par, d_seq)
     from repro.graph.prim import is_valid_prim_order
 
-    assert is_valid_prim_order(4000, edges, o2, b2)
-    assert np.allclose(np.sort(b1[1:]), np.sort(b2[1:]))
-    # EMST weights are generically distinct -> orders must agree exactly.
-    assert np.array_equal(o1, o2)
+    assert is_valid_prim_order(4000, edges, *d_par.reachability())
 
 
 def test_dendrogram_spark_bit_identical_to_topdown(spark, forced, varden_mst):
-    """Executors solve the light subproblems with the node ids the
-    driver-side recursion would assign, so every array matches."""
-    d_drv = dendrogram_topdown(varden_mst, 0)
-    with spark_jobs(spark) as jobs:
-        d_par = dendrogram_topdown(varden_mst, 0, spark=spark)
-    assert len(jobs) == 1
-    assert d_par.root == d_drv.root
-    for name in ("left", "right", "weight"):
-        assert np.array_equal(getattr(d_par, name), getattr(d_drv, name)), name
+    """Executors and the driver solve the same bands with the same
+    kernel, and node ids are edge ranks, so every array matches, also
+    the bottom-up construction's, ties included."""
+    tied = hdbscan_mst(sd.ss_varden(3000, 3, seed=4), 10)[0]
+    for edges in (varden_mst, tied):
+        d_drv = dendrogram_topdown(edges, 0)
+        with spark_jobs(spark) as jobs:
+            d_par = dendrogram_topdown(edges, 0, spark=spark)
+        assert len(jobs) == 1
+        assert_same_dendrogram(d_par, d_drv)
+        assert_same_dendrogram(d_par, dendrogram_sequential(edges, 0))
 
 
 def test_spark_bccp_small_batch_runs_on_driver(spark, midsize):
@@ -274,6 +288,4 @@ def test_hdbscan_pipeline_below_break_even_runs_on_driver(spark):
     assert not jobs
     assert np.array_equal(cd_seq_, cd_par)
     assert np.array_equal(e_seq, e_par)
-    assert d_par.root == d_seq.root
-    for name in ("left", "right", "weight"):
-        assert np.array_equal(getattr(d_par, name), getattr(d_seq, name)), name
+    assert_same_dendrogram(d_par, d_seq)
