@@ -5,8 +5,10 @@ Round structure (exactly the paper's):
 1. Split pairs by cardinality |A| + |B| <= beta into S_l / S_u.
 2. rho_hi = min d(A, B) over S_u — a lower bound on every edge S_u can
    ever produce.
-3. Compute BCCPs of S_l (cached across rounds); S_l1 = pairs with
-   BCCP <= rho_hi.
+3. S_l1 = pairs with BCCP <= rho_hi. BCCPs are computed (and cached
+   across rounds) only for the S_l pairs with d(A, B) <= rho_hi: the
+   others cannot be in S_l1 yet, and stay for later rounds, where most
+   are filtered out by step 5 before their BCCP is ever computed.
 4. Feed S_l1's edges to Kruskal (one component array for the whole run).
 5. Filter out remaining pairs whose two sides are already fully inside
    one component.
@@ -130,7 +132,10 @@ def gfk_mst(
         s_l = active[in_l]
         s_u = active[~in_l]
         rho_hi = float(lbs[s_u].min()) if s_u.size else np.inf
-        todo = s_l[np.isnan(edges[s_l, 2])]
+        # Line 6 gate: BCCP >= lbs, so a pair with lbs > rho_hi cannot
+        # pass the take test below; it stays active, uncomputed (a NaN
+        # weight fails that test).
+        todo = s_l[np.isnan(edges[s_l, 2]) & (lbs[s_l] <= rho_hi)]
         if todo.size:
             edges[todo] = compute_bccps(tree, pairs[todo], star, stats, spark_ctx)
         edges_l = edges[s_l]

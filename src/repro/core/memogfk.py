@@ -9,6 +9,8 @@ The full WSPD is never materialized. Each round:
   pairs whose BCCP lies in [rho_lo, rho_hi), pruning on the bounding-
   sphere bounds (Figure 3) and on component connectivity (``mono_labels``).
 * the retrieved edges go to Kruskal; rho_lo = rho_hi; beta *= 2.
+  A round whose rho_hi does not exceed rho_lo would retrieve nothing:
+  it only doubles beta and calls ``get_rho`` again.
 
 Both traversals are level-synchronous vectorized versions of the
 FINDPAIR recursion (same visitation DAG, frontier kept in NumPy
@@ -40,7 +42,7 @@ from .wspd import (
     v_well_separated,
 )
 
-_MAX_ROUNDS = 128  # beta doubles per round: a correct run needs ~log2(n)
+_MAX_ROUNDS = 128  # beta doubles per get_rho call: a correct run needs ~log2(n)
 
 
 class BccpCache:
@@ -221,12 +223,20 @@ def memogfk_mst(
     stats = GfkStats()
     beta = 2
     rho_lo = 0.0
+    rho_calls = 0
     while comp.any():  # once spanned, every label is 0 (the smallest vertex)
-        stats.rounds += 1
-        if stats.rounds > _MAX_ROUNDS:
-            raise RuntimeError("MemoGFK failed to converge (bug)")
         mono = mono_labels(tree, comp)
-        rho_hi = get_rho(tree, beta, mono, separation, star)
+        # A round with rho_hi <= rho_lo retrieves no pair and adds no
+        # edge, so it only doubles beta: comp and mono stay as they are.
+        while True:
+            rho_calls += 1
+            if rho_calls > _MAX_ROUNDS:
+                raise RuntimeError("MemoGFK failed to converge (bug)")
+            rho_hi = get_rho(tree, beta, mono, separation, star)
+            if rho_hi > rho_lo:
+                break
+            beta *= 2
+        stats.rounds += 1
         batch = get_pairs(
             tree,
             rho_lo,

@@ -220,6 +220,15 @@ def build(points: np.ndarray) -> KDTree:
     pts = src[perm]
     leaves = left < 0
     bb_min[leaves] = bb_max[leaves] = pts[los[leaves]]
+    center = 0.5 * (bb_min + bb_max)
+    # The radius is the distance from the stored (rounded) center to the
+    # farthest box corner, in the form of ``wspd.v_center_dist``, rounded
+    # up one ulp. Rounding is monotone, so no point's computed distance
+    # to the center exceeds it, however far the box is from the origin,
+    # and d(A, B) stays a lower bound on BCCP. A zero-width box is exact.
+    far = np.maximum(center - bb_min, bb_max - center)
+    radius = np.sqrt(np.einsum("ij,ij->i", far, far))
+    radius = np.where(radius > 0.0, np.nextafter(radius, np.inf), 0.0)
     return KDTree(
         pts=pts,
         perm=perm,
@@ -229,8 +238,8 @@ def build(points: np.ndarray) -> KDTree:
         hi=his,
         bb_min=bb_min,
         bb_max=bb_max,
-        center=0.5 * (bb_min + bb_max),
-        radius=0.5 * np.linalg.norm(bb_max - bb_min, axis=1),
+        center=center,
+        radius=radius,
     )
 
 

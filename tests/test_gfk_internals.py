@@ -4,16 +4,18 @@ import numpy as np
 import pytest
 
 from repro.core import memogfk
-from repro.core.bccp import bccp, bccp_star
-from repro.core.emst import emst_memogfk
-from repro.core.gfk import GfkStats, mono_labels
+from repro.core.bccp import bccp, bccp_batch, bccp_star
+from repro.core.emst import emst_gfk, emst_memogfk
+from repro.core.gfk import GfkStats, gfk_mst, mono_labels
 from repro.core.hdbscan import hdbscan_mst
 from repro.core.memogfk import BccpCache, get_pairs, get_rho
-from repro.core.wspd import wspd
+from repro.core.wspd import pair_node_dist, pair_point_count, wspd
 from repro.geometry import kdtree as kdt
 from repro.geometry.knn import core_distances
+from repro.graph.kruskal import kruskal_batch
 from repro.graph.prim import mst_bruteforce, mst_bruteforce_mutual
 from repro.graph.unionfind import UnionFind
+from repro.synth_data import geolife_like, uniform_fill
 
 
 def _tree(n=300, d=2, seed=0):
@@ -171,5 +173,111 @@ def test_memogfk_exact_when_bounds_round_above_a_lower_pair(method, min_pts, cas
     else:
         edges = hdbscan_mst(pts, min_pts, method)[0]
         ref = mst_bruteforce_mutual(pts, core_distances(kdt.build(pts), min_pts))
+    assert edges.shape == (pts.shape[0] - 1, 3)
+    assert np.isclose(edges[:, 2].sum(), ref[:, 2].sum(), rtol=1e-12, atol=0)
+
+
+def _gfk_line6_reference(tree, pairs, star):
+    """Algorithm 2 with Line 6 as the paper writes it: every round
+    computes the BCCP of every S_l pair not cached yet, then takes the
+    ones with BCCP <= rho_hi, in the order of ``gfk.gfk_mst``."""
+    comp = np.arange(tree.n)
+    out = [np.empty((0, 3))]
+    edges = np.full((pairs.shape[0], 3), np.nan)
+    card = pair_point_count(tree, pairs)
+    lbs = pair_node_dist(tree, pairs)
+    if star:
+        lbs = np.maximum(lbs, np.maximum(tree.cd_min[pairs[:, 0]], tree.cd_min[pairs[:, 1]]))
+    active = np.arange(pairs.shape[0])
+    beta = 2
+    while active.size:
+        s_l = active[card[active] <= beta]
+        s_u = active[card[active] > beta]
+        rho_hi = float(lbs[s_u].min()) if s_u.size else np.inf
+        todo = s_l[np.isnan(edges[s_l, 2])]
+        edges[todo] = bccp_batch(tree, pairs[todo, 0], pairs[todo, 1], star)
+        take = edges[s_l, 2] <= rho_hi
+        batch = edges[s_l[take]]
+        kruskal_batch(
+            batch[:, 0].astype(np.int64), batch[:, 1].astype(np.int64), batch[:, 2], comp, out
+        )
+        remaining = np.concatenate([s_l[~take], s_u])
+        mono = mono_labels(tree, comp)
+        ma, mb = mono[pairs[remaining, 0]], mono[pairs[remaining, 1]]
+        active = remaining[~((ma != -1) & (ma == mb))]
+        beta *= 2
+    return np.concatenate(out)
+
+
+_lattice_rng = np.random.default_rng(21)
+_GFK_CASES = {
+    "random": np.random.default_rng(20).random((400, 3)) * 10,
+    # Integer lattices: many BCCPs tie with each other and with rho_hi.
+    "lattice-2d": _lattice_rng.integers(0, 15, (300, 2)).astype(np.float64),
+    "lattice-3d": _lattice_rng.integers(0, 6, (300, 3)).astype(np.float64),
+    # Zero-radius duplicate nodes: S_l BCCPs equal to rho_hi exactly.
+    "lattice-duplicates-3x": np.tile(
+        np.random.default_rng(277).integers(0, 5, (60, 3)).astype(np.float64), (3, 1)
+    ),
+    "duplicates-5x": np.tile(np.random.default_rng(22).random((80, 3)), (5, 1)),
+    "translated-1e9": np.random.default_rng(23).random((300, 3)) + 1e9,
+}
+
+
+@pytest.mark.parametrize("star", [False, True])
+@pytest.mark.parametrize("case", list(_GFK_CASES))
+def test_gfk_equals_line6_reference(case, star):
+    """Computing BCCPs only for S_l pairs whose lower bound is at most
+    rho_hi gives the same edges, in the same order, as computing every
+    S_l BCCP (a pair with a larger bound cannot pass BCCP <= rho_hi)."""
+    tree = kdt.build(_GFK_CASES[case])
+    if star:
+        kdt.attach_core_distances(tree, core_distances(tree, 4))
+    pairs = wspd(tree, "s2")
+    edges, stats = gfk_mst(tree, pairs, star=star)
+    ref = _gfk_line6_reference(tree, pairs, star)
+    assert edges.shape == (tree.n - 1, 3)
+    assert np.array_equal(edges, ref)
+    assert stats.bccp_computed < pairs.shape[0]
+
+
+def test_gfk_computes_few_bccps_on_uniform_3d():
+    """Most S_l pairs are connected before rho_hi reaches their bound,
+    so GFK must leave most of the WSPD's BCCPs uncomputed."""
+    _, stats = emst_gfk(uniform_fill(1500, 3, seed=0))
+    assert stats.bccp_computed < stats.pairs_materialized / 3
+
+
+@pytest.mark.parametrize(
+    "pts",
+    [geolife_like(2500, seed=0), np.tile(uniform_fill(200, 3, seed=5), (5, 1))],
+    ids=["geolife-like", "duplicates-5x"],
+)
+@pytest.mark.parametrize("method", ["emst", "memogfk", "gantao"])
+def test_memogfk_runs_no_empty_round(monkeypatch, pts, method):
+    """A round with rho_hi <= rho_lo retrieves nothing, so MemoGFK must
+    not run get_pairs for it; these inputs have such rounds."""
+    calls = []
+    rho_seen = []
+    exact_pairs, exact_rho = memogfk.get_pairs, memogfk.get_rho
+
+    def get_pairs(tree, rho_lo, rho_hi, *args):
+        calls.append((rho_lo, rho_hi))
+        return exact_pairs(tree, rho_lo, rho_hi, *args)
+
+    def get_rho(*args):
+        rho_seen.append(exact_rho(*args))
+        return rho_seen[-1]
+
+    monkeypatch.setattr(memogfk, "get_pairs", get_pairs)
+    monkeypatch.setattr(memogfk, "get_rho", get_rho)
+    if method == "emst":
+        edges, stats = emst_memogfk(pts)
+        ref = mst_bruteforce(pts)
+    else:
+        edges, _, stats = hdbscan_mst(pts, 10, method)
+        ref = mst_bruteforce_mutual(pts, core_distances(kdt.build(pts), 10))
+    assert all(lo < hi for lo, hi in calls)
+    assert len(rho_seen) > len(calls) == stats.rounds
     assert edges.shape == (pts.shape[0] - 1, 3)
     assert np.isclose(edges[:, 2].sum(), ref[:, 2].sum(), rtol=1e-12, atol=0)

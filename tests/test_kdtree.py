@@ -77,10 +77,13 @@ def _reference_build(points):
         stack.append(r)
     leaves = left < 0
     bb_min[leaves] = bb_max[leaves] = pts[los[leaves]]
+    center = 0.5 * (bb_min + bb_max)
+    far = np.maximum(center - bb_min, bb_max - center)
+    radius = np.sqrt(np.einsum("ij,ij->i", far, far))
     arrays = dict(
         pts=pts, perm=perm, left=left, right=right, lo=los, hi=his,
-        bb_min=bb_min, bb_max=bb_max, center=0.5 * (bb_min + bb_max),
-        radius=0.5 * np.linalg.norm(bb_max - bb_min, axis=1),
+        bb_min=bb_min, bb_max=bb_max, center=center,
+        radius=np.where(radius > 0.0, np.nextafter(radius, np.inf), 0.0),
     )
     return arrays, fallbacks
 
@@ -169,6 +172,29 @@ def test_node_dist_bounds_cross_distances(d):
         dmat = np.linalg.norm(A[:, None, :] - B[None, :, :], axis=2)
         assert t.node_dist(a, b) <= dmat.min() + 1e-9
         assert t.node_dist_max(a, b) >= dmat.max() - 1e-9
+
+
+@pytest.mark.parametrize(
+    "pts",
+    [
+        np.round(np.random.default_rng(10).random((110, 2)) * 2, 1) + [1e9, 1e9 + 0.5],
+        _pts(300, 3, seed=11) + 1e9,
+        _pts(200, 5, seed=12, scale=1e-3) - 1e9,
+    ],
+    ids=["rounded-lattice", "uniform-3d", "small-5d"],
+)
+def test_every_point_lies_in_its_node_sphere_far_from_origin(pts):
+    """Node centers round far from the origin, so the sphere must be
+    measured around the stored center: every point's distance to it, in
+    the form the traversals compute (``wspd.v_center_dist``), is at most
+    the node's radius, which makes d(A, B) a lower bound on BCCP."""
+    t = kdt.build(pts)
+    size = t.hi - t.lo
+    node = np.repeat(np.arange(t.n_nodes), size)
+    row = t.lo[node] + np.arange(node.size) - np.repeat(np.cumsum(size) - size, size)
+    d = t.pts[row] - t.center[node]
+    dist = np.sqrt(np.einsum("ij,ij->i", d, d))
+    assert (dist <= t.radius[node]).all()
 
 
 def test_duplicate_points_build():
