@@ -1,9 +1,10 @@
 """Harnesses that regenerate the paper's evaluation tables.
 
-Each ``tableN`` function runs the same methods over the same (scaled)
-data sets as the paper's Table N and returns row dictionaries; the
-``format_tableN`` helpers print rows shaped like the paper's tables so
-EXPERIMENTS.md can diff paper vs. measured numbers side by side.
+Each ``tableN`` function (and ``appendix_c``) runs the same methods
+over the same (scaled) data sets as the paper's Table N and returns row
+dictionaries; the ``format_*`` helpers print rows shaped like the
+paper's tables so EXPERIMENTS.md can diff paper vs. measured numbers
+side by side. ``jobs/tables.py`` is the command line over them.
 
 "1 thread" columns = the sequential NumPy implementations;
 "48 cores" columns = the same algorithms with their parallel loops run
@@ -26,6 +27,7 @@ from pyspark.sql import SparkSession
 from ..core import emst as emst_mod
 from ..core.dendrogram import dendrogram_topdown
 from ..core.hdbscan import hdbscan_mst
+from ..core.optics import optics_approx_mst
 from ..core.wspd import PairBudgetExceeded
 from ..graph.boruvka import emst_boruvka
 from . import datasets
@@ -34,6 +36,9 @@ MAX_PAIRS = int(os.environ.get("REPRO_MAX_PAIRS", "1500000"))
 
 EMST_METHODS = ["EMST-Naive", "EMST-GFK", "EMST-MemoGFK", "Delaunay"]
 HDBSCAN_METHODS = ["HDBSCAN*-MemoGFK", "HDBSCAN*-GanTao"]
+APPENDIX_C_METHODS = ["OPTICS-approx", "HDBSCAN*-GanTao", "HDBSCAN*-MemoGFK"]
+APPENDIX_C_DATASETS = ["2D-UniformFill", "2D-SS-varden"]
+OPTICS_RHO = 0.125
 
 
 @dataclass
@@ -169,6 +174,34 @@ def table5(
     return out
 
 
+def appendix_c(
+    names: list[str] | None = None, min_pts: int = 10
+) -> dict[str, dict[str, Cell]]:
+    """Appendix C: the approximate OPTICS MST (rho = 0.125, so the WSPD
+    uses s = 8) against the two exact HDBSCAN* MSTs, sequential only.
+    The paper finds it 1.00-1.96x slower than GanTao and 1.72-7.48x
+    slower than MemoGFK, because s = 8 inflates the WSPD."""
+    out: dict[str, dict[str, Cell]] = {}
+    for name in names or APPENDIX_C_DATASETS:
+        pts = datasets.load(name)
+        row: dict[str, Cell] = {}
+        for method in APPENDIX_C_METHODS:
+            t0 = time.perf_counter()
+            if method == "OPTICS-approx":
+                edges, _, stats = optics_approx_mst(pts, min_pts, rho=OPTICS_RHO)
+            else:
+                key = "gantao" if method == "HDBSCAN*-GanTao" else "memogfk"
+                edges, _, stats = hdbscan_mst(pts, min_pts, method=key)
+            cell = Cell(seq=time.perf_counter() - t0)
+            cell.stats = {
+                "mst_weight": float(edges[:, 2].sum()),
+                "pairs": stats.pairs_materialized,
+            }
+            row[method] = cell
+        out[name] = row
+    return out
+
+
 def table2(
     t4: dict[str, dict[str, Cell]], t5: dict[str, dict[str, Cell]]
 ) -> dict[str, dict[str, float]]:
@@ -215,12 +248,15 @@ def format_table3(rows: dict[str, Cell]) -> str:
     return "\n".join(lines)
 
 
-def format_table4(rows: dict[str, dict[str, Cell]]) -> str:
-    methods = EMST_METHODS
+def format_seq_par(
+    title: str, methods: list[str], rows: dict[str, dict[str, Cell]]
+) -> str:
+    """Tables 4 and 5: one seq/par column pair per method."""
+    w = max(map(len, methods))
     head = f"  {'data set':26s}" + "".join(
-        f" | {m:>12s} seq/par" for m in methods
+        f" | {m:>{w}s} seq/par" for m in methods
     )
-    lines = ["Table 4 (reproduction): EMST times (s)", head]
+    lines = [title, head]
     for name, row in rows.items():
         cells = []
         for m in methods:
@@ -230,17 +266,22 @@ def format_table4(rows: dict[str, dict[str, Cell]]) -> str:
     return "\n".join(lines)
 
 
-def format_table5(rows: dict[str, dict[str, Cell]]) -> str:
-    head = f"  {'data set':26s}" + "".join(
-        f" | {m:>16s} seq/par" for m in HDBSCAN_METHODS
-    )
-    lines = ["Table 5 (reproduction): HDBSCAN* times, minPts=10 (s)", head]
+def format_appendix_c(rows: dict[str, dict[str, Cell]]) -> str:
+    methods = APPENDIX_C_METHODS
+    w = max(map(len, methods))
+    head = f"  {'data set':26s}" + "".join(f" | {m:>{w}s}" for m in methods)
+    lines = [
+        f"Appendix C (reproduction): approximate OPTICS, rho={OPTICS_RHO},"
+        " vs exact HDBSCAN* MSTs (s)",
+        head + " | OPTICS slowdown vs GanTao/MemoGFK",
+    ]
     for name, row in rows.items():
-        cells = []
-        for m in HDBSCAN_METHODS:
-            c = row.get(m, Cell())
-            cells.append(f" | {Cell.fmt(c.seq):>9s}/{Cell.fmt(c.par):>9s}")
-        lines.append(f"  {datasets.display_name(name):26s}" + "".join(cells))
+        optics, gantao, memogfk = (row[m].seq for m in methods)
+        cells = "".join(f" | {Cell.fmt(row[m].seq):>{w}s}" for m in methods)
+        lines.append(
+            f"  {datasets.display_name(name):26s}{cells}"
+            f" | {optics / gantao:.2f}x/{optics / memogfk:.2f}x"
+        )
     return "\n".join(lines)
 
 

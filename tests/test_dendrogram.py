@@ -268,6 +268,7 @@ def test_hdbscan_dendrogram_end_to_end():
     edges, cd, _ = hdbscan_mst(pts, 10)
     _, bars_ref = reachability_plot(500, edges, 0)
     for dend in (dendrogram_topdown(edges, 0), dendrogram_sequential(edges, 0)):
+        assert dend.n == 500
         order, bars = dend.reachability()
         assert is_valid_prim_order(500, edges, order, bars)
         # The multiset of bar heights is tie-break invariant.
