@@ -16,11 +16,10 @@ def print_tables(chosen: set[str], args, spark) -> None:
     from repro.experiments import tables
 
     if "3" in chosen:
-        print(tables.format_table3(tables.table3(args.datasets)))
+        print(tables.format_table(tables.TITLES["3"], tables.table3(args.datasets)))
     if chosen & {"2", "4"}:
         t4 = tables.table4(spark, args.datasets)
-        title = "Table 4 (reproduction): EMST times (s)"
-        print(tables.format_seq_par(title, tables.EMST_METHODS, t4))
+        print(tables.format_table(tables.TITLES["4"], t4))
         for name, row in t4.items():
             for m, c in row.items():
                 if c.stats:
@@ -30,8 +29,8 @@ def print_tables(chosen: set[str], args, spark) -> None:
                     )
     if chosen & {"2", "5"}:
         t5 = tables.table5(spark, args.datasets, min_pts=args.minpts)
-        title = f"Table 5 (reproduction): HDBSCAN* times, minPts={args.minpts} (s)"
-        print(tables.format_seq_par(title, tables.HDBSCAN_METHODS, t5))
+        title = tables.TITLES["5"].format(min_pts=args.minpts)
+        print(tables.format_table(title, t5))
         # pairs_materialized of a MemoGFK run is its peak per-round
         # candidate count, not a WSPD size.
         for name, row in t5.items():
@@ -43,8 +42,13 @@ def print_tables(chosen: set[str], args, spark) -> None:
         print(tables.format_table2(tables.table2(t4, t5)))
     if "C" in chosen:
         tc = tables.appendix_c(args.datasets, min_pts=args.minpts)
-        print(tables.format_appendix_c(tc))
+        print(tables.format_table(tables.TITLES["C"], tc))
         for name, row in tc.items():
+            optics, gantao, memogfk = (row[m].seq for m in tables.APPENDIX_C_METHODS)
+            print(
+                f"  [{name}] OPTICS slowdown vs GanTao/MemoGFK = "
+                f"{optics / gantao:.2f}x/{optics / memogfk:.2f}x"
+            )
             pairs = row["OPTICS-approx"].stats["pairs"]
             print(f"  [{name}] OPTICS-approx WSPD pairs (s=8) = {pairs}")
 

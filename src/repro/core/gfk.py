@@ -29,7 +29,7 @@ import numpy as np
 from ..geometry.kdtree import KDTree
 from ..graph.kruskal import kruskal_batch
 from . import bccp as bccp_mod
-from .wspd import pair_node_dist, pair_point_count
+from .wspd import pair_point_count, v_center_dist, v_lower
 
 
 @dataclass
@@ -115,14 +115,8 @@ def gfk_mst(
     stats = GfkStats(pairs_materialized=int(pairs.shape[0]))
 
     card = pair_point_count(tree, pairs)
-    ndist = pair_node_dist(tree, pairs)
-    if star:
-        lbs = np.maximum(
-            ndist,
-            np.maximum(tree.cd_min[pairs[:, 0]], tree.cd_min[pairs[:, 1]]),
-        )
-    else:
-        lbs = ndist
+    A, B = pairs[:, 0], pairs[:, 1]
+    lbs = v_lower(tree, A, B, star, v_center_dist(tree, A, B))
     active = np.arange(pairs.shape[0])
     beta = 2
     # Once the tree spans, step 5 filters out every pair.

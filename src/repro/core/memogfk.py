@@ -37,8 +37,8 @@ from .wspd import (
     root_seeds,
     split_frontier,
     v_center_dist,
-    v_gap,
     v_gap_max,
+    v_lower,
     v_well_separated,
 )
 
@@ -76,18 +76,6 @@ class BccpCache:
         return out
 
 
-def _v_lower(
-    tree: KDTree, A: np.ndarray, B: np.ndarray, star: bool, c: np.ndarray
-) -> np.ndarray:
-    """Vectorized lower bound on BCCP/BCCP* per frontier pair with
-    center distances ``c`` (Figure 3a: the pair's line-segment
-    representation)."""
-    lb = v_gap(tree, A, B, c)
-    if star:
-        lb = np.maximum(lb, np.maximum(tree.cd_min[A], tree.cd_min[B]))
-    return lb
-
-
 def _v_bounds(
     tree: KDTree, A: np.ndarray, B: np.ndarray, star: bool, c: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -96,7 +84,7 @@ def _v_bounds(
     ub = v_gap_max(tree, A, B, c)
     if star:
         ub = np.maximum(ub, np.maximum(tree.cd_max[A], tree.cd_max[B]))
-    return _v_lower(tree, A, B, star, c), ub
+    return v_lower(tree, A, B, star, c), ub
 
 
 def _seeds(tree: KDTree, mono: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -127,7 +115,7 @@ def get_rho(
         if not A.size:
             break
         c = v_center_dist(tree, A, B)
-        lb = _v_lower(tree, A, B, star, c)
+        lb = v_lower(tree, A, B, star, c)
         live = lb < rho_hi
         A, B, lb, c = A[live], B[live], lb[live], c[live]
         if not A.size:
@@ -135,9 +123,7 @@ def get_rho(
         ws = v_well_separated(tree, A, B, kind, c)
         if np.any(ws):
             rho_hi = min(rho_hi, float(lb[ws].min()))  # WRITEMIN
-        A, B, _ = split_frontier(tree, A[~ws], B[~ws])
-        # Coincident singleton pairs cannot split: zero-weight edges that
-        # the first get_pairs round will pick up; they never bound rho.
+        A, B = split_frontier(tree, A[~ws], B[~ws])
     return float(rho_hi)
 
 
@@ -185,15 +171,11 @@ def get_pairs(
         if not A.size:
             break
         ws = v_well_separated(tree, A, B, kind, c)
-        rest = np.flatnonzero(~ws)
-        nA, nB, stuck = split_frontier(tree, A[rest], B[rest])
-        # Candidates: the well-separated pairs and the coincident
-        # singletons, which cannot split.
-        done = np.concatenate([np.flatnonzero(ws), rest[stuck]])
-        candidates.append(np.stack([A[done], B[done]], axis=1))
-        bounds.append(np.stack([lo[done], hi[done]], axis=1))
-        rest = rest[~stuck]
-        A, B, lo, hi = nA, nB, np.tile(lo[rest], 2), np.tile(hi[rest], 2)
+        candidates.append(np.stack([A[ws], B[ws]], axis=1))
+        bounds.append(np.stack([lo[ws], hi[ws]], axis=1))
+        split = ~ws
+        A, B = split_frontier(tree, A[split], B[split])
+        lo, hi = np.tile(lo[split], 2), np.tile(hi[split], 2)
     if not candidates:
         return np.empty((0, 3))
     cand = np.concatenate(candidates, axis=0)

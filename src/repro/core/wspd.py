@@ -55,6 +55,17 @@ def v_gap_max(
     return c + tree.radius[A] + tree.radius[B]
 
 
+def v_lower(
+    tree: KDTree, A: np.ndarray, B: np.ndarray, star: bool, c: np.ndarray
+) -> np.ndarray:
+    """Lower bound on BCCP/BCCP* per pair with center distances ``c``
+    (Figure 3a: the pair's line-segment representation)."""
+    lb = v_gap(tree, A, B, c)
+    if star:
+        lb = np.maximum(lb, np.maximum(tree.cd_min[A], tree.cd_min[B]))
+    return lb
+
+
 def v_well_separated(
     tree: KDTree, A: np.ndarray, B: np.ndarray, kind: str | float, c: np.ndarray
 ) -> np.ndarray:
@@ -83,24 +94,21 @@ def root_seeds(tree: KDTree) -> tuple[np.ndarray, np.ndarray]:
 
 def split_frontier(
     tree: KDTree, A: np.ndarray, B: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """FINDPAIR's split step for non-separated pairs: swap so A is the
     larger-diameter node, then replace (A, B) by (A.left, B), (A.right, B).
 
-    Pairs whose larger side is a leaf (so both sides are coincident
-    points) cannot be split; the returned mask ``stuck`` marks them,
-    so callers can record them (their BCCP is a 0-weight edge). The
-    children of the other pairs come in their order, left children
-    first: a per-pair array ``x`` follows them as ``np.tile(x[~stuck], 2)``.
+    The larger side is never a leaf: that needs both radii 0, and such a
+    pair is well-separated under every predicate above. The children
+    come in the pairs' order, left children first: a per-pair array
+    ``x`` follows them as ``np.tile(x, 2)``.
     """
     swap = tree.radius[A] < tree.radius[B]
     A2 = np.where(swap, B, A)
     B2 = np.where(swap, A, B)
-    stuck = tree.left[A2] < 0
-    A2, B2 = A2[~stuck], B2[~stuck]
     nA = np.concatenate([tree.left[A2], tree.right[A2]]).astype(np.int64)
     nB = np.concatenate([B2, B2])
-    return nA, nB, stuck
+    return nA, nB
 
 
 def wspd(
@@ -122,11 +130,7 @@ def wspd(
             rec = np.stack([A[ws], B[ws]], axis=1)
             out.append(rec)
             total += rec.shape[0]
-        A2, B2 = A[~ws], B[~ws]
-        A, B, stuck = split_frontier(tree, A2, B2)
-        if stuck.any():
-            out.append(np.stack([A2[stuck], B2[stuck]], axis=1))
-            total += int(stuck.sum())
+        A, B = split_frontier(tree, A[~ws], B[~ws])
         if max_pairs is not None and total > max_pairs:
             raise PairBudgetExceeded(f"WSPD exceeded the {max_pairs}-pair budget")
     if not out:

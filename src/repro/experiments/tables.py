@@ -1,10 +1,11 @@
 """Harnesses that regenerate the paper's evaluation tables.
 
-Each ``tableN`` function (and ``appendix_c``) runs the same methods
-over the same (scaled) data sets as the paper's Table N and returns row
-dictionaries; the ``format_*`` helpers print rows shaped like the
-paper's tables so EXPERIMENTS.md can diff paper vs. measured numbers
-side by side. ``jobs/tables.py`` is the command line over them.
+Each ``tableN`` function (and ``appendix_c``) maps the methods of the
+paper's Table N to the calls that run them, and ``run_cells`` times
+every (data set, method) cell over the same (scaled) data sets;
+``format_table`` prints the rows shaped like the paper's tables so
+EXPERIMENTS.md can diff paper vs. measured numbers side by side.
+``jobs/tables.py`` is the command line over them.
 
 "1 thread" columns = the sequential NumPy implementations;
 "48 cores" columns = the same algorithms with their parallel loops run
@@ -13,13 +14,15 @@ as Spark jobs on a local[*] session, one task slot per core (DESIGN.md
 cells mean the method is not applicable (Delaunay beyond 2D, and in
 the parallel column, where it has no Spark path) or blew the WSPD pair
 budget (REPRO_MAX_PAIRS, default 1.5M), the analogue of the paper's
-out-of-memory cells.
+out-of-memory cells; the note under the table says which.
 """
 from __future__ import annotations
 
 import os
 import time
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 from pyspark.sql import SparkSession
@@ -40,6 +43,14 @@ APPENDIX_C_METHODS = ["OPTICS-approx", "HDBSCAN*-GanTao", "HDBSCAN*-MemoGFK"]
 APPENDIX_C_DATASETS = ["2D-UniformFill", "2D-SS-varden"]
 OPTICS_RHO = 0.125
 
+TITLES = {
+    "3": "Table 3 (reproduction): sequential dual-tree Boruvka EMST (s)",
+    "4": "Table 4 (reproduction): EMST times (s)",
+    "5": "Table 5 (reproduction): HDBSCAN* times, minPts={min_pts} (s)",
+    "C": f"Appendix C (reproduction): approximate OPTICS, rho={OPTICS_RHO},"
+    " vs exact HDBSCAN* MSTs (s)",
+}
+
 
 @dataclass
 class Cell:
@@ -55,30 +66,71 @@ class Cell:
         return f"{v:.2f}" if v is not None else "-"
 
 
-def _run_emst(method: str, pts: np.ndarray, spark: SparkSession | None):
-    if method == "EMST-Naive":
-        return emst_mod.emst_naive(pts, spark=spark, max_pairs=MAX_PAIRS)
-    if method == "EMST-GFK":
-        return emst_mod.emst_gfk(pts, spark=spark, max_pairs=MAX_PAIRS)
-    if method == "EMST-MemoGFK":
-        return emst_mod.emst_memogfk(pts, spark=spark)
-    if method == "Delaunay":
-        return emst_mod.emst_delaunay(pts)
-    raise ValueError(method)
+class Method(NamedTuple):
+    """How a table runs one method. ``run(pts, spark)`` returns a tuple
+    whose first item is the MST edges and whose last is its GfkStats
+    (or None); ``spark`` is None in the sequential run."""
+
+    run: Callable[[np.ndarray, SparkSession | None], tuple]
+    par: bool = True  # has a Spark run
+    exact: bool = True  # its MST weight must equal the other exact methods'
+    dims: int | None = None  # runs only on data of this dimension
 
 
-def table3(names: list[str] | None = None) -> dict[str, Cell]:
+def run_cells(
+    methods: dict[str, Method],
+    names: list[str],
+    spark: SparkSession | None = None,
+) -> dict[str, dict[str, Cell]]:
+    """Time every (data set, method) cell: the sequential run, then the
+    Spark run when ``spark`` is given and the method has one. A cell
+    records its MST weight and the GfkStats counts, and at most one
+    note: why it did not run, or that its weight differs from the
+    first exact method's (or its Spark run's from its own)."""
+    out: dict[str, dict[str, Cell]] = {}
+    for name in names:
+        pts = datasets.load(name)
+        row = out[name] = {}
+        ref_weight = None
+        for m, method in methods.items():
+            cell = row[m] = Cell()
+            if method.dims is not None and pts.shape[1] != method.dims:
+                cell.note = f"{method.dims}D only"
+                continue
+            try:
+                t0 = time.perf_counter()
+                result = method.run(pts, None)
+            except PairBudgetExceeded:
+                cell.note = f"pair budget {MAX_PAIRS}"
+                continue
+            cell.seq = time.perf_counter() - t0
+            w = float(result[0][:, 2].sum())
+            cell.stats["mst_weight"] = w
+            if (stats := result[-1]) is not None:
+                cell.stats.update(
+                    pairs=stats.pairs_materialized,
+                    bccp=stats.bccp_computed,
+                    rounds=stats.rounds,
+                )
+            if method.exact:
+                if ref_weight is None:
+                    ref_weight = w
+                elif not np.isclose(w, ref_weight):
+                    cell.note = f"WEIGHT MISMATCH {w} vs {ref_weight}"
+            if spark is not None and method.par:
+                t0 = time.perf_counter()
+                edges_p = method.run(pts, spark)[0]
+                cell.par = time.perf_counter() - t0
+                if not np.isclose(float(edges_p[:, 2].sum()), w):
+                    cell.note = "PARALLEL WEIGHT MISMATCH"
+    return out
+
+
+def table3(names: list[str] | None = None) -> dict[str, dict[str, Cell]]:
     """Table 3: sequential dual-tree Boruvka EMST times (the mlpack
     baseline stand-in; see DESIGN.md §2)."""
-    out: dict[str, Cell] = {}
-    for name in names or datasets.ALL_DATASETS:
-        pts = datasets.load(name)
-        t0 = time.perf_counter()
-        edges = emst_boruvka(pts)
-        cell = Cell(seq=time.perf_counter() - t0)
-        cell.stats["mst_weight"] = float(edges[:, 2].sum())
-        out[name] = cell
-    return out
+    boruvka = Method(lambda pts, _: (emst_boruvka(pts), None))
+    return run_cells({"Boruvka": boruvka}, names or datasets.ALL_DATASETS)
 
 
 def table4(
@@ -88,43 +140,16 @@ def table4(
 ) -> dict[str, dict[str, Cell]]:
     """Table 4: EMST running times (sequential and Spark-parallel) for
     Naive / GFK / MemoGFK / Delaunay(2D)."""
-    out: dict[str, dict[str, Cell]] = {}
-    for name in names or datasets.ALL_DATASETS:
-        pts = datasets.load(name)
-        row: dict[str, Cell] = {}
-        ref_weight = None
-        for method in methods or EMST_METHODS:
-            cell = Cell()
-            if method == "Delaunay" and pts.shape[1] != 2:
-                cell.note = "2D only"
-                row[method] = cell
-                continue
-            par = None if method == "Delaunay" else spark
-            try:
-                t0 = time.perf_counter()
-                edges, stats = _run_emst(method, pts, None)
-                cell.seq = time.perf_counter() - t0
-                t0 = time.perf_counter()
-                edges_p, _ = _run_emst(method, pts, par) if par else (edges, stats)
-                cell.par = time.perf_counter() - t0 if par else None
-                w = float(edges[:, 2].sum())
-                cell.stats = {
-                    "mst_weight": w,
-                    "pairs": stats.pairs_materialized,
-                    "bccp": stats.bccp_computed,
-                    "rounds": stats.rounds,
-                }
-                if ref_weight is None:
-                    ref_weight = w
-                elif not np.isclose(w, ref_weight):
-                    cell.note = f"WEIGHT MISMATCH {w} vs {ref_weight}"
-                if par and not np.isclose(float(edges_p[:, 2].sum()), w):
-                    cell.note = "PARALLEL WEIGHT MISMATCH"
-            except PairBudgetExceeded:
-                cell.note = f"pair budget {MAX_PAIRS}"
-            row[method] = cell
-        out[name] = row
-    return out
+    runs = {
+        "EMST-Naive": Method(partial(emst_mod.emst_naive, max_pairs=MAX_PAIRS)),
+        "EMST-GFK": Method(partial(emst_mod.emst_gfk, max_pairs=MAX_PAIRS)),
+        "EMST-MemoGFK": Method(emst_mod.emst_memogfk),
+        "Delaunay": Method(
+            lambda pts, _: emst_mod.emst_delaunay(pts), par=False, dims=2
+        ),
+    }
+    chosen = {m: runs[m] for m in methods or EMST_METHODS}
+    return run_cells(chosen, names or datasets.ALL_DATASETS, spark)
 
 
 def table5(
@@ -135,71 +160,43 @@ def table5(
     """Table 5: HDBSCAN* times (MST of the mutual reachability graph +
     ordered dendrogram, as in the paper) for the new-definition MemoGFK
     method vs the exact GanTao baseline."""
-    out: dict[str, dict[str, Cell]] = {}
-    for name in names or datasets.ALL_DATASETS:
-        pts = datasets.load(name)
-        row: dict[str, Cell] = {}
-        ref_weight = None
-        for method_name, key in [
-            ("HDBSCAN*-MemoGFK", "memogfk"),
-            ("HDBSCAN*-GanTao", "gantao"),
-        ]:
-            cell = Cell()
-            t0 = time.perf_counter()
-            edges, cd, stats = hdbscan_mst(pts, min_pts, method=key)
-            dend = dendrogram_topdown(edges, 0)
-            cell.seq = time.perf_counter() - t0
-            if spark:
-                t0 = time.perf_counter()
-                edges_p, _, _ = hdbscan_mst(pts, min_pts, method=key, spark=spark)
-                dendrogram_topdown(edges_p, 0, spark=spark)
-                cell.par = time.perf_counter() - t0
-                if not np.isclose(
-                    float(edges_p[:, 2].sum()), float(edges[:, 2].sum())
-                ):
-                    cell.note = "PARALLEL WEIGHT MISMATCH"
-            w = float(edges[:, 2].sum())
-            cell.stats = {
-                "mst_weight": w,
-                "pairs": stats.pairs_materialized,
-                "bccp": stats.bccp_computed,
-                "dend_root": int(dend.root),
-            }
-            if ref_weight is None:
-                ref_weight = w
-            elif not np.isclose(w, ref_weight):
-                cell.note = f"WEIGHT MISMATCH {w} vs {ref_weight}"
-            row[method_name] = cell
-        out[name] = row
-    return out
+
+    def mst_and_dendrogram(key: str) -> Method:
+        def run(pts, spark):
+            edges, _, stats = hdbscan_mst(pts, min_pts, method=key, spark=spark)
+            dendrogram_topdown(edges, 0, spark=spark)
+            return edges, stats
+
+        return Method(run)
+
+    runs = {
+        "HDBSCAN*-MemoGFK": mst_and_dendrogram("memogfk"),
+        "HDBSCAN*-GanTao": mst_and_dendrogram("gantao"),
+    }
+    return run_cells(runs, names or datasets.ALL_DATASETS, spark)
 
 
 def appendix_c(
     names: list[str] | None = None, min_pts: int = 10
 ) -> dict[str, dict[str, Cell]]:
     """Appendix C: the approximate OPTICS MST (rho = 0.125, so the WSPD
-    uses s = 8) against the two exact HDBSCAN* MSTs, sequential only.
-    The paper finds it 1.00-1.96x slower than GanTao and 1.72-7.48x
-    slower than MemoGFK, because s = 8 inflates the WSPD."""
-    out: dict[str, dict[str, Cell]] = {}
-    for name in names or APPENDIX_C_DATASETS:
-        pts = datasets.load(name)
-        row: dict[str, Cell] = {}
-        for method in APPENDIX_C_METHODS:
-            t0 = time.perf_counter()
-            if method == "OPTICS-approx":
-                edges, _, stats = optics_approx_mst(pts, min_pts, rho=OPTICS_RHO)
-            else:
-                key = "gantao" if method == "HDBSCAN*-GanTao" else "memogfk"
-                edges, _, stats = hdbscan_mst(pts, min_pts, method=key)
-            cell = Cell(seq=time.perf_counter() - t0)
-            cell.stats = {
-                "mst_weight": float(edges[:, 2].sum()),
-                "pairs": stats.pairs_materialized,
-            }
-            row[method] = cell
-        out[name] = row
-    return out
+    uses s = 8) against the two exact HDBSCAN* MSTs (the MST only, no
+    dendrogram), sequential only. The paper finds it 1.00-1.96x slower
+    than GanTao and 1.72-7.48x slower than MemoGFK, because s = 8
+    inflates the WSPD."""
+    runs = {
+        "OPTICS-approx": Method(
+            lambda pts, _: optics_approx_mst(pts, min_pts, rho=OPTICS_RHO),
+            exact=False,
+        ),
+        "HDBSCAN*-GanTao": Method(
+            lambda pts, _: hdbscan_mst(pts, min_pts, method="gantao")
+        ),
+        "HDBSCAN*-MemoGFK": Method(
+            lambda pts, _: hdbscan_mst(pts, min_pts, method="memogfk")
+        ),
+    }
+    return run_cells(runs, names or APPENDIX_C_DATASETS)
 
 
 def table2(
@@ -241,47 +238,27 @@ def table2(
     return out
 
 
-def format_table3(rows: dict[str, Cell]) -> str:
-    lines = ["Table 3 (reproduction): sequential dual-tree Boruvka EMST (s)"]
-    for name, cell in rows.items():
-        lines.append(f"  {datasets.display_name(name):26s} {Cell.fmt(cell.seq):>8s}")
-    return "\n".join(lines)
-
-
-def format_seq_par(
-    title: str, methods: list[str], rows: dict[str, dict[str, Cell]]
-) -> str:
-    """Tables 4 and 5: one seq/par column pair per method."""
-    w = max(map(len, methods))
-    head = f"  {'data set':26s}" + "".join(
-        f" | {m:>{w}s} seq/par" for m in methods
-    )
-    lines = [title, head]
+def format_table(title: str, rows: dict[str, dict[str, Cell]]) -> str:
+    """Tables 3, 4, 5 and C: one column per method, seq/par when any
+    cell has a Spark time, each as wide as its header or its widest
+    cell; then every cell's note as ``[data set / method] note``."""
+    methods = list(next(iter(rows.values()), {}))
+    par = any(c.par is not None for row in rows.values() for c in row.values())
+    grid = [["data set"] + [f"{m} seq/par" if par else m for m in methods]]
     for name, row in rows.items():
-        cells = []
-        for m in methods:
-            c = row.get(m, Cell())
-            cells.append(f" | {Cell.fmt(c.seq):>9s}/{Cell.fmt(c.par):>9s}")
-        lines.append(f"  {datasets.display_name(name):26s}" + "".join(cells))
-    return "\n".join(lines)
-
-
-def format_appendix_c(rows: dict[str, dict[str, Cell]]) -> str:
-    methods = APPENDIX_C_METHODS
-    w = max(map(len, methods))
-    head = f"  {'data set':26s}" + "".join(f" | {m:>{w}s}" for m in methods)
-    lines = [
-        f"Appendix C (reproduction): approximate OPTICS, rho={OPTICS_RHO},"
-        " vs exact HDBSCAN* MSTs (s)",
-        head + " | OPTICS slowdown vs GanTao/MemoGFK",
-    ]
-    for name, row in rows.items():
-        optics, gantao, memogfk = (row[m].seq for m in methods)
-        cells = "".join(f" | {Cell.fmt(row[m].seq):>{w}s}" for m in methods)
+        cells = [Cell.fmt(row[m].seq) for m in methods]
+        if par:
+            cells = [f"{s}/{Cell.fmt(row[m].par)}" for s, m in zip(cells, methods)]
+        grid.append([datasets.display_name(name)] + cells)
+    widths = [max(map(len, col)) for col in zip(*grid)]
+    lines = [title]
+    for label, *cells in grid:
         lines.append(
-            f"  {datasets.display_name(name):26s}{cells}"
-            f" | {optics / gantao:.2f}x/{optics / memogfk:.2f}x"
+            f"  {label:{widths[0]}s}"
+            + "".join(f" | {c:>{w}s}" for c, w in zip(cells, widths[1:]))
         )
+    for name, row in rows.items():
+        lines += [f"  [{name} / {m}] {c.note}" for m, c in row.items() if c.note]
     return "\n".join(lines)
 
 

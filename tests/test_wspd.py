@@ -142,3 +142,27 @@ def test_duplicate_points_recorded_as_pairs():
     pairs = wspd(tree, "s2")
     covered = _covered_pairs(tree, pairs)
     assert len(covered.drop_duplicates()) == 8 * 7 // 2
+
+
+@pytest.mark.parametrize(
+    "pts",
+    [
+        np.zeros((40, 3)),
+        np.repeat(np.random.default_rng(11).random((30, 2)), 5, axis=0),
+        np.stack(np.meshgrid(np.arange(8.0), np.arange(8.0)), -1).reshape(-1, 2)
+        + 1e9,
+    ],
+    ids=["identical", "duplicates-5x", "lattice-1e9"],
+)
+def test_zero_radius_pairs_are_well_separated(pts):
+    """FINDPAIR never splits a leaf: the larger side of a pair is a leaf
+    only when both radii are 0, and every such pair is well-separated
+    under each predicate (c >= s * 0, and gap = c >= 0 = diam)."""
+    tree = kdt.build(pts)
+    kdt.attach_core_distances(tree, core_distances(tree, 4))
+    zero = np.flatnonzero(tree.radius == 0.0)
+    assert zero.size >= pts.shape[0]  # every leaf has radius 0
+    A, B = (g.ravel() for g in np.meshgrid(zero, zero))
+    c = v_center_dist(tree, A, B)
+    for kind in ("s2", 8.0, "hdbscan"):
+        assert v_well_separated(tree, A, B, kind, c).all(), kind
