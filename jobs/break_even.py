@@ -11,9 +11,10 @@ The BCCP* rows take the batch the MemoGFK rounds hand to
 ``SparkBccp.bccp_many`` with the most cells outside its largest pair
 (``spread_cells``, the unit of the BCCP break-even), and subsets of it:
 its largest pair plus random other pairs holding 1/8, 1/4 and 1/2 of
-those cells. The dendrogram rows count the band edges the fan-out
-deals. DESIGN.md Section 3 records a run; the break-even constants are
-set from it.
+those cells. Like the k-NN row's, the BCCP* Spark time includes the
+tree broadcast, which every fan-out job makes for itself. The
+dendrogram rows count the band edges the fan-out deals. DESIGN.md
+Section 3 records a run; the break-even constants are set from it.
 """
 import argparse
 import time
@@ -102,7 +103,6 @@ def main() -> None:
                 lambda: bccp_batch(tree, b[:, 0], b[:, 1], True),
                 lambda: ctx.bccp_many(b, star=True),
             )
-        ctx.unpersist()
         # The fan-out deals every band, so all n - 1 tree edges.
         row(
             "dendrogram", n, edges.shape[0],

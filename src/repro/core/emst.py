@@ -21,7 +21,7 @@ from pyspark.sql import SparkSession
 from ..geometry import kdtree as kdt
 from ..geometry.delaunay import delaunay_edges
 from ..graph import kruskal
-from .gfk import GfkStats, bccp_scope, compute_bccps, gfk_mst
+from .gfk import GfkStats, compute_bccps, gfk_mst
 from .memogfk import memogfk_mst
 from .wspd import wspd
 
@@ -35,8 +35,7 @@ def emst_naive(
     tree = kdt.build(points)
     pairs = wspd(tree, "s2", max_pairs=max_pairs)
     stats = GfkStats(rounds=1, pairs_materialized=int(pairs.shape[0]))
-    with bccp_scope(spark, tree) as ctx:
-        edges = compute_bccps(tree, pairs, False, stats, ctx)
+    edges = compute_bccps(tree, pairs, False, stats, spark)
     mst = kruskal.mst(
         tree.n,
         edges[:, 0].astype(np.int64),
@@ -54,8 +53,7 @@ def emst_gfk(
     """EMST-GFK: Algorithm 2 on the materialized WSPD."""
     tree = kdt.build(points)
     pairs = wspd(tree, "s2", max_pairs=max_pairs)
-    with bccp_scope(spark, tree) as ctx:
-        return gfk_mst(tree, pairs, star=False, spark_ctx=ctx)
+    return gfk_mst(tree, pairs, star=False, spark=spark)
 
 
 def emst_memogfk(
@@ -63,8 +61,7 @@ def emst_memogfk(
 ) -> tuple[np.ndarray, GfkStats]:
     """EMST-MemoGFK: Algorithm 3 (the paper's fastest method)."""
     tree = kdt.build(points)
-    with bccp_scope(spark, tree) as ctx:
-        return memogfk_mst(tree, star=False, separation="s2", spark_ctx=ctx)
+    return memogfk_mst(tree, star=False, separation="s2", spark=spark)
 
 
 def emst_delaunay(points: np.ndarray) -> tuple[np.ndarray, GfkStats]:

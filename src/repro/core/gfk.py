@@ -5,26 +5,27 @@ Round structure (exactly the paper's):
 1. Split pairs by cardinality |A| + |B| <= beta into S_l / S_u.
 2. rho_hi = min d(A, B) over S_u — a lower bound on every edge S_u can
    ever produce.
-3. S_l1 = pairs with BCCP <= rho_hi. BCCPs are computed (and cached
-   across rounds) only for the S_l pairs with d(A, B) <= rho_hi: the
-   others cannot be in S_l1 yet, and stay for later rounds, where most
-   are filtered out by step 5 before their BCCP is ever computed.
+3. S_l1 = pairs with BCCP <= rho_hi. BCCPs are computed only for the
+   S_l pairs with d(A, B) <= rho_hi: the others cannot be in S_l1 yet,
+   and stay for later rounds, where most are filtered out by step 5
+   before their BCCP is ever computed. A computed BCCP stays in the
+   pair's row of the materialized WSPD for the later rounds.
 4. Feed S_l1's edges to Kruskal (one component array for the whole run).
 5. Filter out remaining pairs whose two sides are already fully inside
    one component.
 6. beta *= 2 (doubling => O(log n) rounds; the paper's depth argument).
 
-``spark_ctx`` (a ``repro.engine.distribute.SparkBccp``) switches the
-BCCP batch of step 3 from one driver-side ``bccp_batch`` call to a
-Spark ``mapInPandas`` fan-out — the "48 cores" configuration of
-Tables 2/4/5.
+A ``spark`` session switches the BCCP batch of step 3 from one
+driver-side ``bccp_batch`` call to a Spark ``mapInPandas`` fan-out
+(``repro.engine.distribute.SparkBccp``) — the "48 cores" configuration
+of Tables 2/4/5.
 """
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
+from pyspark.sql import SparkSession
 
 from ..geometry.kdtree import KDTree
 from ..graph.kruskal import kruskal_batch
@@ -34,7 +35,12 @@ from .wspd import pair_point_count, v_center_dist, v_lower
 
 @dataclass
 class GfkStats:
-    """Instrumentation for the memory/time claims in Section 5."""
+    """Instrumentation for the memory/time claims in Section 5.
+
+    ``bccp_computed`` counts every BCCP computed: MemoGFK keeps none
+    between rounds, so a pair it retrieves again in a later round is
+    computed, and counted, again.
+    """
 
     rounds: int = 0
     bccp_computed: int = 0
@@ -66,33 +72,24 @@ def mono_labels(tree: KDTree, comp: np.ndarray) -> np.ndarray:
     return np.where(n_changes == 0, lab[lo], -1)
 
 
-def bccp_scope(spark, tree: KDTree):
-    """The run's ``with`` scope for ``compute_bccps``: a
-    ``SparkBccp`` over ``tree``, whose tree broadcast is unpersisted on
-    exit even when a round raises, or ``None`` without a session."""
-    if spark is None:
-        return nullcontext()
-    from ..engine.distribute import SparkBccp
-
-    return SparkBccp(spark, tree)
-
-
 def compute_bccps(
     tree: KDTree,
     pairs: np.ndarray,
     star: bool,
     stats: GfkStats,
-    spark_ctx=None,
+    spark: SparkSession | None = None,
 ) -> np.ndarray:
     """The (k, 3) [u, v, w] BCCP (or BCCP*) edges of the node pairs
     ``pairs`` (k, 2), counted into ``stats``: one ``bccp_batch`` call, or
-    one Spark fan-out. The BCCP fill of every GFK/MemoGFK round and of
-    EMST-Naive."""
+    with a session one Spark fan-out. The BCCP fill of every
+    GFK/MemoGFK round and of EMST-Naive."""
     sz = tree.hi - tree.lo
     stats.bccp_computed += int(pairs.shape[0])
     stats.bccp_work_cells += int((sz[pairs[:, 0]] * sz[pairs[:, 1]]).sum())
-    if spark_ctx is not None:
-        return spark_ctx.bccp_many(pairs, star=star)
+    if spark is not None:
+        from ..engine.distribute import SparkBccp
+
+        return SparkBccp(spark, tree).bccp_many(pairs, star=star)
     return bccp_mod.bccp_batch(tree, pairs[:, 0], pairs[:, 1], star)
 
 
@@ -100,7 +97,7 @@ def gfk_mst(
     tree: KDTree,
     pairs: np.ndarray,
     star: bool = False,
-    spark_ctx=None,
+    spark: SparkSession | None = None,
 ) -> tuple[np.ndarray, GfkStats]:
     """Run Algorithm 2 on a materialized WSPD ``pairs``.
 
@@ -131,7 +128,7 @@ def gfk_mst(
         # weight fails that test).
         todo = s_l[np.isnan(edges[s_l, 2]) & (lbs[s_l] <= rho_hi)]
         if todo.size:
-            edges[todo] = compute_bccps(tree, pairs[todo], star, stats, spark_ctx)
+            edges[todo] = compute_bccps(tree, pairs[todo], star, stats, spark)
         edges_l = edges[s_l]
         take = edges_l[:, 2] <= rho_hi
         batch = edges_l[take]

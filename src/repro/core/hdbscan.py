@@ -26,7 +26,7 @@ from pyspark.sql import SparkSession
 from ..geometry import kdtree as kdt
 from ..geometry import knn
 from ..graph.kruskal import spanning_forest
-from .gfk import GfkStats, bccp_scope
+from .gfk import GfkStats
 from .memogfk import memogfk_mst
 from .wspd import wspd
 
@@ -68,8 +68,7 @@ def hdbscan_mst(
         raise ValueError(f"unknown method {method!r}")
     tree, cd = core_tree(points, min_pts, spark)
     separation = "hdbscan" if method == "memogfk" else "s2"
-    with bccp_scope(spark, tree) as ctx:
-        edges, stats = memogfk_mst(tree, star=True, separation=separation, spark_ctx=ctx)
+    edges, stats = memogfk_mst(tree, star=True, separation=separation, spark=spark)
     return edges, cd, stats
 
 

@@ -23,12 +23,17 @@ One function serves three paper variants:
 * BCCP*, s=2 separation                      -> HDBSCAN*-GanTao (exact)
 * BCCP*, the paper's new well-separation     -> HDBSCAN*-MemoGFK
 
-``spark_ctx`` (repro.engine.distribute.SparkBccp) fans the per-round
-BCCP batch out to executors — the "48 cores" configuration.
+No BCCP is kept between rounds, as in the paper: a round computes the
+BCCP of every pair it retrieves, so a pair retrieved again in a later
+round is computed again (each BCCP is a deterministic function of the
+tree and the pair, so the edges do not depend on it). A ``spark``
+session fans each round's BCCP batch out to executors
+(``repro.engine.distribute.SparkBccp``) — the "48 cores" configuration.
 """
 from __future__ import annotations
 
 import numpy as np
+from pyspark.sql import SparkSession
 
 from ..geometry.kdtree import KDTree
 from ..graph.kruskal import kruskal_batch
@@ -43,37 +48,6 @@ from .wspd import (
 )
 
 _MAX_ROUNDS = 128  # beta doubles per get_rho call: a correct run needs ~log2(n)
-
-
-class BccpCache:
-    """BCCP edges computed in earlier rounds, keyed by node pair
-    a * n_nodes + b and kept sorted by key, so a round looks up its
-    whole candidate batch with one ``searchsorted``."""
-
-    def __init__(self, n_nodes: int):
-        self.n_nodes = n_nodes
-        self.keys = np.empty(0, dtype=np.int64)
-        self.edges = np.empty((0, 3))
-
-    def edges_of(
-        self, tree: KDTree, pairs: np.ndarray, star: bool, stats: GfkStats, spark_ctx
-    ) -> np.ndarray:
-        """(k, 3) [u, v, w] edges of ``pairs`` (k, 2); computes and
-        stores the ones not cached yet."""
-        keys = pairs[:, 0] * self.n_nodes + pairs[:, 1]
-        pos = np.searchsorted(self.keys, keys)
-        hit = pos < self.keys.size
-        hit[hit] = self.keys[pos[hit]] == keys[hit]
-        out = np.empty((keys.size, 3))
-        out[hit] = self.edges[pos[hit]]
-        miss = np.flatnonzero(~hit)
-        if miss.size:
-            out[miss] = compute_bccps(tree, pairs[miss], star, stats, spark_ctx)
-            order = np.argsort(keys[miss])
-            at = pos[miss][order]
-            self.keys = np.insert(self.keys, at, keys[miss][order])
-            self.edges = np.insert(self.edges, at, out[miss][order], axis=0)
-        return out
 
 
 def _v_bounds(
@@ -134,9 +108,8 @@ def get_pairs(
     mono: np.ndarray,
     kind: str | float,
     star: bool,
-    cache: BccpCache,
     stats: GfkStats,
-    spark_ctx=None,
+    spark: SparkSession | None = None,
 ) -> np.ndarray:
     """GETPAIRS (Algorithm 3, Line 5): edges of well-separated pairs
     with BCCP in [rho_lo, rho_hi), via a bounds-pruned traversal.
@@ -144,8 +117,8 @@ def get_pairs(
     Prunes (Figure 3b): d_max(A,B) < rho_lo (descendants' BCCPs below
     range), lb >= rho_hi (descendants' BCCPs above range), or A, B
     already in one component. Well-separated survivors get their BCCP
-    computed (one ``bccp_batch`` call, or one Spark fan-out) and
-    cached; only in-range ones are materialized as edges.
+    computed (one ``bccp_batch`` call, or one Spark fan-out); only
+    in-range ones are materialized as edges.
 
     A pair is in range when its weight clamped into its bounds is, and
     a pair's bounds are kept inside those of every pair above it in the
@@ -182,7 +155,7 @@ def get_pairs(
     lo, hi = np.concatenate(bounds, axis=0).T
     stats.pairs_materialized = max(stats.pairs_materialized, cand.shape[0])
 
-    edges = cache.edges_of(tree, cand, star, stats, spark_ctx)
+    edges = compute_bccps(tree, cand, star, stats, spark)
     w = np.clip(edges[:, 2], lo, hi)
     return edges[(rho_lo <= w) & (w < rho_hi)]
 
@@ -191,7 +164,7 @@ def memogfk_mst(
     tree: KDTree,
     star: bool = False,
     separation: str | float = "s2",
-    spark_ctx=None,
+    spark: SparkSession | None = None,
 ) -> tuple[np.ndarray, GfkStats]:
     """Run Algorithm 3. Returns ((n-1, 3) [u, v, w] MST edges, stats).
 
@@ -201,7 +174,6 @@ def memogfk_mst(
     """
     comp = np.arange(tree.n)
     out_edges = [np.empty((0, 3))]
-    cache = BccpCache(tree.n_nodes)
     stats = GfkStats()
     beta = 2
     rho_lo = 0.0
@@ -219,17 +191,7 @@ def memogfk_mst(
                 break
             beta *= 2
         stats.rounds += 1
-        batch = get_pairs(
-            tree,
-            rho_lo,
-            rho_hi,
-            mono,
-            separation,
-            star,
-            cache,
-            stats,
-            spark_ctx,
-        )
+        batch = get_pairs(tree, rho_lo, rho_hi, mono, separation, star, stats, spark)
         kruskal_batch(
             batch[:, 0].astype(np.int64),
             batch[:, 1].astype(np.int64),

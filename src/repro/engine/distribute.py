@@ -4,13 +4,14 @@ The paper runs on a 48-core Cilk machine; every parallel-for over
 independent heavy kernels (BCCP batches, k-NN block ranges, dendrogram
 bands) maps here onto one Spark job of one stage:
 
-* the driver broadcasts the kd-tree (with its reordered points and core
-  distances) when a fan-out needs it;
 * ``_deal`` deals the work items, heaviest first, round-robin into one
   group per executor core;
 * ``_fan_out`` sends each group pickled in its own row, which Spark
   makes its own partition, so ``mapInPandas`` runs one task per group,
   calling the same NumPy kernel the sequential path calls (no shuffle);
+  a fan-out that needs the kd-tree (with its reordered points and core
+  distances) has ``_fan_out`` broadcast it for that one job, and
+  unpersist it when the job ends, whether or not it raised;
 * the results come back to the driver in group order, where each
   caller scatters them to its items and runs Kruskal there
   (vectorized, ``graph/kruskal.py``).
@@ -50,22 +51,30 @@ def _deal(weights: np.ndarray, parts: int) -> list[np.ndarray]:
     return [order[g::p] for g in range(p)]
 
 
-def _fan_out(spark: SparkSession, groups: list, kernel) -> list:
+def _fan_out(spark: SparkSession, groups: list, kernel, tree: KDTree | None = None) -> list:
     """``kernel(group)`` for every group, in group order, as one Spark
     job of one ``mapInPandas`` stage. Each group travels pickled in its
     own row, and so does its result; Spark cuts a local DataFrame of at
     most ``defaultParallelism`` rows (as ``_deal`` makes them) into one
-    partition, so one task, per row."""
+    partition, so one task, per row. A ``tree`` is broadcast for this
+    job only, and unpersisted when it ends, whether or not it raised;
+    the kernel is then called as ``kernel(tree, group)``."""
     rows = pd.DataFrame(
         {"g": np.arange(len(groups)), "blob": [pickle.dumps(group) for group in groups]}
     )
+    bc = None if tree is None else spark.sparkContext.broadcast(tree)
 
     def run(batches):
+        head = () if bc is None else (bc.value,)
         for pdf in batches:
-            blobs = [pickle.dumps(kernel(pickle.loads(bytes(b)))) for b in pdf["blob"]]
+            blobs = [pickle.dumps(kernel(*head, pickle.loads(bytes(b)))) for b in pdf["blob"]]
             yield pd.DataFrame({"g": pdf["g"], "blob": blobs})
 
-    res = spark.createDataFrame(rows).mapInPandas(run, "g long, blob binary").toPandas()
+    try:
+        res = spark.createDataFrame(rows).mapInPandas(run, "g long, blob binary").toPandas()
+    finally:
+        if bc is not None:
+            bc.unpersist()
     out = [None] * len(groups)
     for g, blob in zip(res["g"], res["blob"]):
         out[int(g)] = pickle.loads(bytes(blob))
@@ -79,29 +88,13 @@ def spread_cells(cells: np.ndarray) -> int:
 
 
 class SparkBccp:
-    """Distributes BCCP / BCCP* batches for GFK and MemoGFK rounds.
-
-    Construct once per MST run, as a ``with`` scope, then ``bccp_many``
-    is called every round with that round's missing pairs. The kd-tree
-    is broadcast when the first batch fans out and unpersisted when the
-    scope exits, whether or not a round raised.
-    """
+    """Distributes BCCP / BCCP* batches for GFK and MemoGFK rounds: each
+    batch that reaches the break-even is one ``_fan_out`` job over
+    ``tree``; smaller ones run on the driver."""
 
     def __init__(self, spark: SparkSession, tree: KDTree):
         self.spark = spark
         self.tree = tree
-        self._bc = None
-
-    def __enter__(self) -> SparkBccp:
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.unpersist()
-
-    def unpersist(self) -> None:
-        if self._bc is not None:
-            self._bc.unpersist()
-            self._bc = None
 
     def bccp_many(self, pairs: np.ndarray, star: bool = False) -> np.ndarray:
         """BCCP (or BCCP*) of each (node_a, node_b) row of ``pairs``.
@@ -116,23 +109,20 @@ class SparkBccp:
         cells = sz[pairs[:, 0]] * sz[pairs[:, 1]]
         if pairs.shape[0] < 2 or spread_cells(cells) < _MIN_PARALLEL_CELLS:
             return bccp_batch(t, pairs[:, 0], pairs[:, 1], star)
-        if self._bc is None:
-            self._bc = self.spark.sparkContext.broadcast(t)
-        bc = self._bc
         groups = _deal(cells, self.spark.sparkContext.defaultParallelism)
 
-        def kernel(ab):
-            return bccp_batch(bc.value, ab[:, 0], ab[:, 1], star)
+        def kernel(tree, ab):
+            return bccp_batch(tree, ab[:, 0], ab[:, 1], star)
 
         out = np.empty((pairs.shape[0], 3))
-        for g, e in zip(groups, _fan_out(self.spark, [pairs[g] for g in groups], kernel)):
+        for g, e in zip(groups, _fan_out(self.spark, [pairs[g] for g in groups], kernel, t)):
             out[g] = e
         return out
 
 
 def core_distances_spark(spark: SparkSession, tree: KDTree, min_pts: int) -> np.ndarray:
-    """Parallel core distances over the run's ``tree``: broadcast it and
-    fan its k-NN blocks out in contiguous ranges, each solved by
+    """Parallel core distances over the run's ``tree``: fan its k-NN
+    blocks out in contiguous ranges, each solved by
     ``block_kth_distances`` as on the driver.
 
     Mirrors the paper's parallel k-NN step (Section 3.2.1); returns
@@ -149,20 +139,15 @@ def core_distances_spark(spark: SparkSession, tree: KDTree, min_pts: int) -> np.
     par = spark.sparkContext.defaultParallelism
     bounds = np.linspace(0, n_blocks, min(4 * par, n_blocks) + 1, dtype=np.int64)
     k = int(min_pts)
-    bc = spark.sparkContext.broadcast(tree)
 
-    def kernel(ranges):
-        t = bc.value
+    def kernel(t, ranges):
         every = blocks(t)
         return [block_kth_distances(t, every[a:z], k) for a, z in ranges]
 
     groups = _deal(np.diff(bounds), par)
-    try:
-        results = _fan_out(
-            spark, [np.column_stack([bounds[g], bounds[g + 1]]) for g in groups], kernel
-        )
-    finally:
-        bc.unpersist()
+    results = _fan_out(
+        spark, [np.column_stack([bounds[g], bounds[g + 1]]) for g in groups], kernel, tree
+    )
     # The ranges tile the point rows in order.
     by_range = [None] * (bounds.size - 1)
     for g, cds in zip(groups, results):

@@ -11,6 +11,7 @@ from repro.core.hdbscan import hdbscan_mst
 from repro.core.optics import optics_approx_mst
 from repro.graph.boruvka import emst_boruvka
 from repro.graph.prim import mst_bruteforce
+from tests.test_kdtree import HUGE, spoil
 
 METHODS = {
     "naive": lambda pts: emst_naive(pts)[0],
@@ -172,12 +173,11 @@ def test_emst_survives_large_translation(monkeypatch, name, small_cells):
     assert np.isclose(edges[:, 2].sum(), ref, rtol=1e-6, atol=0)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, *HUGE])
 @pytest.mark.parametrize(
     "method", ["naive", "gfk", "memogfk", "boruvka", "delaunay"]
 )
 def test_emst_rejects_non_finite_points(method, bad):
-    pts = np.random.default_rng(1).random((50, 2))
-    pts[17, 1] = bad
+    pts = spoil(np.random.default_rng(1).random((50, 2)), bad, 17, 1)
     with pytest.raises(ValueError, match="finite"):
         METHODS_2D[method](pts)

@@ -8,7 +8,7 @@ from repro.core.bccp import bccp, bccp_batch, bccp_star
 from repro.core.emst import emst_gfk, emst_memogfk
 from repro.core.gfk import GfkStats, gfk_mst, mono_labels
 from repro.core.hdbscan import hdbscan_mst
-from repro.core.memogfk import BccpCache, get_pairs, get_rho
+from repro.core.memogfk import get_pairs, get_rho
 from repro.core.wspd import pair_node_dist, pair_point_count, wspd
 from repro.geometry import kdtree as kdt
 from repro.geometry.knn import core_distances
@@ -79,9 +79,7 @@ def test_get_pairs_returns_exactly_in_range_edges(lo_q, hi_q):
     rho_lo = float(np.quantile(all_w, lo_q)) if lo_q > 0 else 0.0
     rho_hi = float(np.quantile(all_w, min(hi_q, 1.0))) if hi_q <= 1 else np.inf
     expect = np.sort(all_w[keep & (all_w >= rho_lo) & (all_w < rho_hi)])
-    got = get_pairs(
-        t, rho_lo, rho_hi, mono, "s2", False, BccpCache(t.n_nodes), GfkStats(), None
-    )
+    got = get_pairs(t, rho_lo, rho_hi, mono, "s2", False, GfkStats(), None)
     assert np.allclose(np.sort(got[:, 2]), expect)
 
 

@@ -17,6 +17,7 @@ from repro.geometry import kdtree as kdt
 from repro.geometry.knn import core_distances
 from repro.graph.prim import mst_bruteforce, mst_bruteforce_mutual
 from repro.graph.unionfind import UnionFind
+from tests.test_kdtree import HUGE, spoil
 
 CASES = [
     ("uniform", 60, 2, 3),
@@ -168,11 +169,10 @@ def test_stats_pair_savings_memogfk_vs_gantao():
     assert s_new.bccp_computed <= s_std.bccp_computed
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, *HUGE])
 @pytest.mark.parametrize("method", ["memogfk", "gantao"])
 def test_hdbscan_rejects_non_finite_points(method, bad):
-    pts = sd.uniform_fill(80, 3, seed=2)
-    pts[5, 0] = bad
+    pts = spoil(sd.uniform_fill(80, 3, seed=2), bad, 5, 0)
     with pytest.raises(ValueError, match="finite"):
         hdbscan_mst(pts, 5, method=method)
 

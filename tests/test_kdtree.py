@@ -20,6 +20,27 @@ def _pts(n, d, seed=0, scale=10.0):
     return np.random.default_rng(seed).random((n, d)) * scale
 
 
+_rng = np.random.default_rng(14)
+# Finite inputs whose box arithmetic overflows float64. Unless the input
+# check rejects them, EMST-GFK hangs on the first two and returns edges
+# of weight inf on the last two, and MemoGFK runs out of pairs on all four.
+HUGE = {
+    "corners-1e308": np.array([[-1.0, -1.0], [-1.0, 1.0], [1.0, -1.0], [1.0, 1.0]]) * 1e308,
+    "offset-1.5e308": 1.5e308 + _rng.random((50, 2)),
+    "3d-1e160": _rng.random((50, 3)) * 1e160,
+    "2d-1e200": _rng.random((50, 2)) * 1e200,
+}
+
+
+def spoil(pts, bad, row, col):
+    """``HUGE[bad]`` when ``bad`` names one of them, else ``pts`` with
+    pts[row, col] set to ``bad``."""
+    if isinstance(bad, str):
+        return HUGE[bad].copy()
+    pts[row, col] = bad
+    return pts
+
+
 def _reference_build(points):
     """The depth-first build (explicit stack, right child popped first)
     that ``kdt.build`` reproduces level by level. Returns the tree arrays
@@ -204,10 +225,9 @@ def test_duplicate_points_build():
     assert np.allclose(t.radius, 0.0)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, *HUGE])
 def test_build_rejects_non_finite_points(bad):
-    pts = _pts(30, 2)
-    pts[3, 1] = bad
+    pts = spoil(_pts(30, 2), bad, 3, 1)
     with pytest.raises(ValueError, match="finite"):
         kdt.build(pts)
 

@@ -8,6 +8,7 @@ from repro.core.optics import optics_approx_mst
 from repro.geometry import kdtree as kdt
 from repro.geometry.knn import core_distances
 from repro.graph.prim import mst_bruteforce_mutual
+from tests.test_kdtree import HUGE
 
 
 @pytest.mark.parametrize("rho", [0.125, 0.5])
@@ -72,6 +73,12 @@ def test_optics_rejects_non_finite_points():
     pts[9, 0] = np.nan
     with pytest.raises(ValueError, match="finite"):
         optics_approx_mst(pts, 5)
+
+
+@pytest.mark.parametrize("bad", list(HUGE))
+def test_optics_rejects_overflowing_points(bad):
+    with pytest.raises(ValueError, match="finite"):
+        optics_approx_mst(HUGE[bad], 5)
 
 
 @pytest.mark.parametrize("min_pts", [0, -1])

@@ -112,18 +112,15 @@ def test_spark_bccp_many_matches_local(spark, forced, midsize):
     kdt.attach_core_distances(tree, cd_seq(tree, 10))
     pairs = wspd(tree, "s2")[:3000]
     ctx = SparkBccp(spark, tree)
-    try:
-        for star in (False, True):
-            with spark_jobs(spark) as jobs:
-                got = ctx.bccp_many(pairs, star=star)
-            assert len(jobs) == 1
-            fn = bccp_mod.bccp_star if star else bccp_mod.bccp
-            for k in range(0, len(pairs), max(1, len(pairs) // 200)):
-                u, v, w = fn(tree, *map(int, pairs[k]))
-                gu, gv, gw = got[k]
-                assert np.isclose(gw, w)
-    finally:
-        ctx.unpersist()
+    for star in (False, True):
+        with spark_jobs(spark) as jobs:
+            got = ctx.bccp_many(pairs, star=star)
+        assert len(jobs) == 1
+        fn = bccp_mod.bccp_star if star else bccp_mod.bccp
+        for k in range(0, len(pairs), max(1, len(pairs) // 200)):
+            u, v, w = fn(tree, *map(int, pairs[k]))
+            gu, gv, gw = got[k]
+            assert np.isclose(gw, w)
 
 
 @pytest.fixture(scope="module")
@@ -178,20 +175,17 @@ def test_spark_bccp_small_batch_runs_on_driver(spark, midsize):
     results must be identical either way."""
     tree = kdt.build(midsize[:200])
     ctx = SparkBccp(spark, tree)
-    try:
-        internal = np.flatnonzero(tree.left >= 0)
-        pairs = [
-            (int(tree.left[v]), int(tree.right[v])) for v in internal[:5]
-        ]
-        with spark_jobs(spark) as jobs:
-            got = ctx.bccp_many(pairs)
-        assert not jobs
-        from repro.core.bccp import bccp
+    internal = np.flatnonzero(tree.left >= 0)
+    pairs = [
+        (int(tree.left[v]), int(tree.right[v])) for v in internal[:5]
+    ]
+    with spark_jobs(spark) as jobs:
+        got = ctx.bccp_many(pairs)
+    assert not jobs
+    from repro.core.bccp import bccp
 
-        for k, p in enumerate(pairs):
-            assert np.isclose(got[k, 2], bccp(tree, *p)[2])
-    finally:
-        ctx.unpersist()
+    for k, p in enumerate(pairs):
+        assert np.isclose(got[k, 2], bccp(tree, *p)[2])
 
 
 def test_spark_bccp_largest_pair_is_not_spread(spark, monkeypatch, midsize):
@@ -204,16 +198,13 @@ def test_spark_bccp_largest_pair_is_not_spread(spark, monkeypatch, midsize):
     cells = sz[pairs[:, 0]] * sz[pairs[:, 1]]
     spread = int(cells.sum() - cells.max())
     ctx = SparkBccp(spark, tree)
-    try:
-        want = bccp_batch(tree, pairs[:, 0], pairs[:, 1])
-        for threshold, n_jobs in ((spread + 1, 0), (spread, 1)):
-            monkeypatch.setattr(distribute, "_MIN_PARALLEL_CELLS", threshold)
-            with spark_jobs(spark) as jobs:
-                got = ctx.bccp_many(pairs)
-            assert len(jobs) == n_jobs
-            assert np.array_equal(got, want)
-    finally:
-        ctx.unpersist()
+    want = bccp_batch(tree, pairs[:, 0], pairs[:, 1])
+    for threshold, n_jobs in ((spread + 1, 0), (spread, 1)):
+        monkeypatch.setattr(distribute, "_MIN_PARALLEL_CELLS", threshold)
+        with spark_jobs(spark) as jobs:
+            got = ctx.bccp_many(pairs)
+        assert len(jobs) == n_jobs
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("n, parts", [(37, 4), (37, 64), (3, 8), (1, 4), (0, 4)])
@@ -242,14 +233,10 @@ def test_fan_out_is_one_task_per_group_in_group_order(spark):
     assert tracker.getStageInfo(stage).numTasks == len(groups)
 
 
-@pytest.mark.parametrize(
-    "solve",
-    [emst_naive, emst_gfk, emst_memogfk, lambda pts, spark: hdbscan_mst(pts, 10, spark=spark)],
-    ids=["naive", "gfk", "memogfk", "hdbscan"],
-)
-def test_failed_fan_out_still_unpersists_the_tree(spark, forced, midsize, monkeypatch, solve):
-    """``bccp_batch`` raises inside the executors: the run raises, and
-    every broadcast it made has been unpersisted."""
+@pytest.fixture
+def broadcasts(spark, monkeypatch):
+    """Records every broadcast made, and every one unpersisted, as
+    (made, dropped) lists."""
     from pyspark import Broadcast
 
     sc = spark.sparkContext
@@ -264,16 +251,55 @@ def test_failed_fan_out_still_unpersists_the_tree(spark, forced, midsize, monkey
         dropped.append(self)
         unpersist(self, blocking)
 
+    monkeypatch.setattr(sc, "broadcast", recording_broadcast)
+    monkeypatch.setattr(Broadcast, "unpersist", recording_unpersist)
+    return made, dropped
+
+
+def all_unpersisted(made, dropped) -> bool:
+    return all(any(b is d for d in dropped) for b in made)
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [emst_naive, emst_gfk, emst_memogfk, lambda pts, spark: hdbscan_mst(pts, 10, spark=spark)],
+    ids=["naive", "gfk", "memogfk", "hdbscan"],
+)
+def test_failed_fan_out_still_unpersists_the_tree(
+    spark, forced, midsize, monkeypatch, broadcasts, solve
+):
+    """``bccp_batch`` raises inside the executors: the run raises, and
+    every broadcast it made has been unpersisted."""
+
     def failing_bccp_batch(*args):
         raise RuntimeError("bccp_batch failed on purpose")
 
-    monkeypatch.setattr(sc, "broadcast", recording_broadcast)
-    monkeypatch.setattr(Broadcast, "unpersist", recording_unpersist)
     monkeypatch.setattr(distribute, "bccp_batch", failing_bccp_batch)
     with pytest.raises(Exception, match="bccp_batch failed on purpose"):
         solve(midsize, spark=spark)
+    made, dropped = broadcasts
     assert made
-    assert all(any(b is d for d in dropped) for b in made)
+    assert all_unpersisted(made, dropped)
+
+
+def test_fan_outs_unpersist_the_tree_when_they_return(spark, forced, midsize, broadcasts):
+    """Once a forced ``SparkBccp.bccp_many`` or ``core_distances_spark``
+    returns, every broadcast it made has been unpersisted: no call keeps
+    the tree on the executors after its own job."""
+    tree = kdt.build(midsize)
+    kdt.attach_core_distances(tree, cd_seq(tree, 10))
+    internal = np.flatnonzero(tree.left >= 0)[:50]
+    pairs = np.column_stack([tree.left[internal], tree.right[internal]])
+    made, dropped = broadcasts
+    for call in (
+        lambda: SparkBccp(spark, tree).bccp_many(pairs, star=True),
+        lambda: core_distances_spark(spark, tree, 10),
+    ):
+        made.clear()
+        dropped.clear()
+        call()
+        assert len(made) == 1
+        assert all_unpersisted(made, dropped)
 
 
 def test_hdbscan_pipeline_below_break_even_runs_on_driver(spark):
