@@ -7,7 +7,8 @@
 on four degenerate inputs (5x duplicates, identical points, a +1e9
 translation and an integer lattice), everything that reads the kd-tree:
 the tree arrays with the core-distance summaries (min_pts = 10), the
-MST edges of EMST-Naive, -GFK and -MemoGFK, of HDBSCAN* under both
+MST edges of EMST-Naive, -GFK and -MemoGFK (and of EMST-Delaunay on the
+2D inputs), of HDBSCAN* under both
 methods and of approximate OPTICS (seed 0), the node arrays
 (left/right/weight/root; node ids are edge ranks, so they compare bit
 for bit) and reachability plots of the top-down and the bottom-up
@@ -69,7 +70,7 @@ def outputs(pts: np.ndarray) -> dict[str, np.ndarray]:
         dendrogram_topdown,
         single_linkage_labels,
     )
-    from repro.core.emst import emst_gfk, emst_memogfk, emst_naive
+    from repro.core.emst import emst_delaunay, emst_gfk, emst_memogfk, emst_naive
     from repro.core.hdbscan import core_tree, dbscan_star_from_mst, hdbscan_mst
     from repro.core.optics import optics_approx_mst
 
@@ -78,6 +79,8 @@ def outputs(pts: np.ndarray) -> dict[str, np.ndarray]:
     out["emst_naive"] = emst_naive(pts)[0]
     out["emst_gfk"] = emst_gfk(pts)[0]
     out["emst_memogfk"] = emst_memogfk(pts)[0]
+    if pts.shape[1] == 2:
+        out["emst_delaunay"] = emst_delaunay(pts)[0]
     for method in ("memogfk", "gantao"):
         out[f"hdbscan_{method}"] = hdbscan_mst(pts, _MIN_PTS, method)[0]
     out["optics_approx"] = optics_approx_mst(pts, _MIN_PTS, seed=0)[0]

@@ -67,10 +67,13 @@ def emst_memogfk(
 def emst_delaunay(points: np.ndarray) -> tuple[np.ndarray, GfkStats]:
     """EMST-Delaunay (2D only): Kruskal over Delaunay edges.
 
-    The triangulation is the driver-side Bowyer–Watson substrate
-    (DESIGN.md documents this substitution for PBBS's parallel
-    Delaunay). It has no Spark path: weighting O(n) edges is too little
-    work to fan out.
+    The triangulation is the driver-side exact incremental substrate
+    (kd-tree order, walk, Lawson flips on exact predicates; DESIGN.md
+    documents this substitution for PBBS's parallel Delaunay). Every
+    EMST edge is a Gabriel edge, hence in the triangulation, so the
+    result is exact for any 2D input the point check accepts, cocircular
+    and collinear points included. It has no Spark path: weighting O(n)
+    edges is too little work to fan out.
     """
     pts = kdt.check_points(points)
     if pts.shape[1] != 2:
@@ -79,5 +82,5 @@ def emst_delaunay(points: np.ndarray) -> tuple[np.ndarray, GfkStats]:
     stats = GfkStats(rounds=1, pairs_materialized=int(de.shape[0]))
     diff = pts[de[:, 0]] - pts[de[:, 1]]
     ws = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-    # The checked triangulation holds every EMST edge, so this spans.
+    # The triangulation holds every EMST edge, so this spans.
     return kruskal.mst(pts.shape[0], de[:, 0], de[:, 1], ws), stats

@@ -1,22 +1,41 @@
-"""2D Delaunay triangulation (Bowyer–Watson).
+"""2D Delaunay triangulation by exact incremental insertion.
 
 Substrate for EMST-Delaunay (Appendix A.1): in 2D the EMST is a
-subgraph of the Delaunay triangulation, so an MST over the O(n)
-Delaunay edges solves EMST. The container has no scipy/CGAL, so this
-implements Bowyer–Watson incremental insertion from scratch.
+subgraph of the Delaunay triangulation, so an MST over its O(n) edges
+solves EMST. Neither scipy nor CGAL is a dependency, so the
+triangulation is built here.
 
-The cavity search is vectorized: circumcenters/radii of all live
-triangles are kept in NumPy arrays and each insertion tests every live
-triangle's circumcircle in one vector operation. That makes the
-implementation O(n * T) arithmetic but with tiny constants — more than
-fast enough at reproduction scale, and far simpler to make robust than
-walk-based point location.
+The distinct points are inserted in kd-tree order, so that each lies
+near the last. A visibility walk from the last triangle made finds the
+triangle that holds the point; the point splits it into 3, or splits
+the two triangles that share the edge it lies on into 4, and Lawson
+flips (Lawson 1977) restore the empty-circle property around it. A
+triangle is a list of its counterclockwise corners plus a list of the
+triangles across from each corner (-1 on the super-triangle's sides).
 
-Those floating-point circle tests can go wrong where points are
-cocircular (lattices, regular polygons), so the result is checked with
-exact signs before it is used (``_check_delaunay``). A result that
-passes is a Delaunay triangulation, which holds every EMST edge: an MST
-edge has no other point in its closed diametral disk.
+``_orient`` and ``_incircle`` return exact signs (Shewchuk 1997). The
+float value decides where it exceeds Shewchuk's static error bound
+(``ccwerrboundA`` / ``iccerrboundA`` times the absolute sum of the
+terms); the rest, and every overflow to inf or NaN, is evaluated in
+``Fraction``. That bound assumes that nothing underflows. When g, the
+smallest nonzero gap between two coordinates on one axis, is at least
+2**-225, every nonzero product in the predicates is at least 2**-952
+and every bound at least 2**-1000, both normal floats; below that the
+points go in as ``Fraction``s and every sign is exact arithmetic.
+
+Why the edges hold an exact EMST:
+
+* Every flip decision is exact, so the result is a Delaunay
+  triangulation of the n points plus the 3 super-triangle corners.
+* The corners lie at least 64 * span from the bounding box's centre
+  (span: the box's larger side). Every diametral disk of two input
+  points lies within span * sqrt(2) of that centre, so no corner is in
+  one.
+* Every MST edge (u, v) is a Gabriel edge: if a point w lay in its
+  closed diametral disk, (u, w) or (w, v) would be strictly lighter and
+  could replace it.
+* Every Gabriel edge is in every Delaunay triangulation. So Kruskal
+  over the edges between input points gives an exact EMST.
 """
 from __future__ import annotations
 
@@ -24,199 +43,164 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import kdtree as kdt
 
-def _circumcircles(p: np.ndarray, tris: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Circumcenter and squared radius per triangle (rows of ``tris``
-    index into ``p``). Degenerate (collinear) triangles get infinite
-    radius so any point falls inside and they are always re-cut."""
-    a, b, c = p[tris[:, 0]], p[tris[:, 1]], p[tris[:, 2]]
-    d = 2.0 * (
-        a[:, 0] * (b[:, 1] - c[:, 1])
-        + b[:, 0] * (c[:, 1] - a[:, 1])
-        + c[:, 0] * (a[:, 1] - b[:, 1])
+_EPS = 2.0**-53
+_CCW_BOUND = (3.0 + 16.0 * _EPS) * _EPS   # Shewchuk's ccwerrboundA
+_ICC_BOUND = (10.0 + 96.0 * _EPS) * _EPS  # Shewchuk's iccerrboundA
+_MIN_GAP = 2.0**-225
+
+
+def _orient_terms(a, b, c):
+    """Twice the signed area of (a, b, c) and its terms' absolute sum."""
+    left = (a[0] - c[0]) * (b[1] - c[1])
+    right = (a[1] - c[1]) * (b[0] - c[0])
+    return left - right, abs(left) + abs(right)
+
+
+def _incircle_terms(a, b, c, d):
+    """Shewchuk's in-circle determinant of d against (a, b, c) and its
+    permanent (the absolute sum of its terms)."""
+    adx, ady = a[0] - d[0], a[1] - d[1]
+    bdx, bdy = b[0] - d[0], b[1] - d[1]
+    cdx, cdy = c[0] - d[0], c[1] - d[1]
+    bdxcdy, cdxbdy, alift = bdx * cdy, cdx * bdy, adx * adx + ady * ady
+    cdxady, adxcdy, blift = cdx * ady, adx * cdy, bdx * bdx + bdy * bdy
+    adxbdy, bdxady, clift = adx * bdy, bdx * ady, cdx * cdx + cdy * cdy
+    det = alift * (bdxcdy - cdxbdy) + blift * (cdxady - adxcdy) + clift * (adxbdy - bdxady)
+    permanent = (
+        (abs(bdxcdy) + abs(cdxbdy)) * alift
+        + (abs(cdxady) + abs(adxcdy)) * blift
+        + (abs(adxbdy) + abs(bdxady)) * clift
     )
-    sa = np.einsum("ij,ij->i", a, a)
-    sb = np.einsum("ij,ij->i", b, b)
-    sc = np.einsum("ij,ij->i", c, c)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ux = (
-            sa * (b[:, 1] - c[:, 1])
-            + sb * (c[:, 1] - a[:, 1])
-            + sc * (a[:, 1] - b[:, 1])
-        ) / d
-        uy = (
-            sa * (c[:, 0] - b[:, 0])
-            + sb * (a[:, 0] - c[:, 0])
-            + sc * (b[:, 0] - a[:, 0])
-        ) / d
-    centers = np.stack([ux, uy], axis=1)
-    r2 = np.einsum("ij,ij->i", centers - a, centers - a)
-    bad = ~np.isfinite(r2)
-    r2[bad] = np.inf
-    centers[bad] = 0.0
-    return centers, r2
+    return det, permanent
 
 
-def _orient(a, b, c):
-    """Twice the signed area of the triangle (a, b, c), > 0 when it is
-    counterclockwise. Points are (x, y) pairs of arrays or of numbers,
-    so the one formula runs in floats and in exact fractions."""
-    return (a[0] - c[0]) * (b[1] - c[1]) - (a[1] - c[1]) * (b[0] - c[0])
+def _exact_sign(terms, bound, *pts) -> int:
+    """Sign of ``terms``' determinant at ``pts``, exact."""
+    det, mag = terms(*pts)
+    if not abs(det) > bound * mag:  # also where det or mag is inf or NaN
+        det, _ = terms(*[(Fraction(x), Fraction(y)) for x, y in pts])
+    return (det > 0) - (det < 0)
 
 
-def _incircle(a, b, c, d):
-    """> 0 when d lies strictly inside the circle through the
-    counterclockwise triangle (a, b, c), 0 when on it."""
-    (ax, ay), (bx, by), (cx, cy) = [(p[0] - d[0], p[1] - d[1]) for p in (a, b, c)]
-    return (
-        (ax * ax + ay * ay) * (bx * cy - cx * by)
-        + (bx * bx + by * by) * (cx * ay - ax * cy)
-        + (cx * cx + cy * cy) * (ax * by - bx * ay)
-    )
+def _orient(a, b, c) -> int:
+    """1 where (a, b, c) turn counterclockwise, -1 where clockwise, 0
+    where they are collinear. Points are (x, y) pairs."""
+    return _exact_sign(_orient_terms, _CCW_BOUND, a, b, c)
 
 
-def _signs(predicate, degree: int, P: np.ndarray, *corners: np.ndarray) -> np.ndarray:
-    """Exact sign of ``predicate`` (a polynomial of ``degree`` in the
-    coordinate differences to the last corner) at the rows ``corners``
-    of ``P``. The float value decides where it exceeds 2**-40 of the
-    largest difference to that power, far above its rounding error; the
-    rest are evaluated in exact fractions."""
-    pts = [(P[v, 0], P[v, 1]) for v in corners]
-    value = predicate(*pts)
-    span = np.max([np.abs(p[k] - pts[-1][k]) for p in pts[:-1] for k in (0, 1)], axis=0)
-    sign = np.sign(value)
-    for i in np.flatnonzero(~(np.abs(value) > span**degree * 2.0**-40)):
-        exact = predicate(*[(Fraction(P[v[i], 0]), Fraction(P[v[i], 1])) for v in corners])
-        sign[i] = (exact > 0) - (exact < 0)
-    return sign
+def _incircle(a, b, c, d) -> int:
+    """1 where d lies strictly inside the circle through the
+    counterclockwise triangle (a, b, c), 0 on it, -1 outside."""
+    return _exact_sign(_incircle_terms, _ICC_BOUND, a, b, c, d)
 
 
-def _check_delaunay(P: np.ndarray, n: int, tris: np.ndarray) -> np.ndarray:
-    """The sorted edges (u < v < n) of the final triangles ``tris`` (rows
-    index ``P``; rows n..n+2 are the super-triangle's corners). Raises
-    ``ValueError`` unless they are a Delaunay triangulation of ``P`` with
-    a triangle on three of the n points (none exists on collinear input).
-
-    A triangulation of n + 3 points with b boundary edges has every edge
-    in one or two triangles and 2(n + 3) - 2 - b triangles; here the
-    boundary is the super-triangle's, and the two triangles of every
-    other edge lie strictly on opposite sides of it. It is Delaunay
-    where neither lies strictly inside the other's circumcircle.
-    """
-    # Half-edges (a, b) with the third corner c, grouped by edge.
-    a, b, c = (tris[:, k].ravel() for k in ([0, 1, 2], [1, 2, 0], [2, 0, 1]))
-    key = np.minimum(a, b) * (n + 3) + np.maximum(a, b)
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
-    count = np.diff(np.r_[starts, key.size])
-    sup = (np.array([n, n, n + 1]) * (n + 3)) + [n + 1, n + 2, n + 2]
-    inner = starts[count == 2]
-    a, b, c, d = a[order[inner]], b[order[inner]], c[order[inner]], c[order[inner + 1]]
-    side = _signs(_orient, 2, P, a, b, c)
-    if not (
-        count.max() <= 2
-        and tris.shape[0] == 2 * (n + 3) - 2 - 3
-        and np.array_equal(key[starts[count == 1]], sup)
-        and np.all(side * _signs(_orient, 2, P, a, b, d) < 0)
-        and not np.any(side * _signs(_incircle, 4, P, a, b, c, d) > 0)
-        and (tris < n).all(axis=1).any()
-    ):
-        raise ValueError(
-            "Delaunay triangles do not span the points as one triangulation "
-            "(collinear or cocircular input)"
-        )
-    key = key[starts]
-    key = key[key % (n + 3) < n]
-    return np.stack([key // (n + 3), key % (n + 3)], axis=1)
-
-
-def delaunay_edges(points: np.ndarray, seed: int = 0) -> np.ndarray:
-    """Return the (m, 2) unique undirected edge list (u < v) of the
+def delaunay_edges(points: np.ndarray) -> np.ndarray:
+    """Return the (m, 2) unique undirected edge list (u < v) of a
     Delaunay triangulation of ``points`` (n, 2). The distinct points are
     triangulated; every later copy of a point is joined to its first
-    copy by a zero-length edge. Raises ``ValueError`` where the
-    floating-point triangulation fails its exact check."""
+    copy by a zero-length edge."""
     pts = np.asarray(points, dtype=np.float64)
     ids = np.arange(pts.shape[0])
     _, first, inv = np.unique(pts + 0.0, axis=0, return_index=True, return_inverse=True)
     copy_of = first[inv.ravel()]
     keep, dups = ids[copy_of == ids], ids[copy_of != ids]
-    edges = keep[_distinct_edges(pts[keep], seed)]
+    edges = keep[_distinct_edges(pts[keep])]
     return np.unique(np.vstack([edges, np.column_stack([copy_of[dups], dups])]), axis=0)
 
 
-def _distinct_edges(pts: np.ndarray, seed: int) -> np.ndarray:
+def _distinct_edges(pts: np.ndarray) -> np.ndarray:
     """Sorted unique Delaunay edges of the distinct points ``pts``."""
     n = pts.shape[0]
     if n < 2:
         return np.empty((0, 2), dtype=np.int64)
-    if n == 2:
-        return np.array([[0, 1]], dtype=np.int64)
+    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    span = float(np.max(hi - lo))
+    sup = 0.5 * (lo + hi) + span * np.array([[0.0, 64.0], [-64.0, -64.0], [64.0, -64.0]])
+    P = np.vstack([pts, sup])
+    xy = P.tolist()
+    if min(np.diff(np.unique(P[:, k])).min() for k in (0, 1)) < _MIN_GAP:
+        xy = [(Fraction(x), Fraction(y)) for x, y in xy]
+    tv = [[n, n + 1, n + 2]]  # counterclockwise corners of each triangle
+    tn = [[-1, -1, -1]]       # tn[t][i]: the triangle across from tv[t][i]
+    t = 0
+    for p in kdt.build(pts).perm.tolist():
+        q = xy[p]
+        t, on = _locate(tv, tn, xy, t, q)
+        r = max(on, 0)  # rotate so that an edge holding q is (b, c)
+        a, b, c = tv[t][r:] + tv[t][:r]
+        na, nb, nc = tn[t][r:] + tn[t][:r]
+        if on < 0:
+            cycle, outer, old, fan = [a, b, c], [nc, na, nb], [t, t, t], [t]
+        else:
+            u = na
+            j = tn[u].index(t)
+            cycle = [a, b, tv[u][j], c]
+            outer, old, fan = [nc, tn[u][j - 2], tn[u][j - 1], nb], [t, u, u, t], [t, u]
+        # The fan of triangles (p, cycle[i], cycle[i + 1]) replaces the
+        # old ones; outer[i] lies across (cycle[i], cycle[i + 1]).
+        k, grow = len(cycle), len(cycle) - len(fan)
+        fan += range(len(tv), len(tv) + grow)
+        tv += [None] * grow
+        tn += [None] * grow
+        for i in range(k):
+            _relink(tn, outer[i], old[i], fan[i])
+            tv[fan[i]] = [p, cycle[i], cycle[(i + 1) % k]]
+            tn[fan[i]] = [outer[i], fan[(i + 1) % k], fan[i - 1]]
+        t = fan[0]
+        _flip(tv, tn, xy, fan)
+    # Each edge between two points is the half-edge (a, b) of one
+    # triangle and (b, a) of the other.
+    a = np.array(tv)
+    b = a[:, [1, 2, 0]]
+    key = np.sort((a * n + b)[(a < b) & (b < n)])
+    return np.column_stack([key // n, key % n])
 
-    # Relative to the min corner: far from the origin, cancellation in
-    # the circumcircles' squared coordinates would eat every digit.
-    low = pts.min(axis=0)
-    hi = pts.max(axis=0) - low
-    span = float(np.max(hi)) or 1.0
-    mid = 0.5 * hi
-    # Super-triangle comfortably containing every circumcircle of interest.
-    sup = mid + span * np.array([[0.0, 64.0], [-64.0, -64.0], [64.0, -64.0]])
-    P = np.vstack([pts - low, sup])
-    s0, s1, s2 = n, n + 1, n + 2
 
-    cap = 8 * n + 16
-    tris = np.empty((cap, 3), dtype=np.int64)
-    centers = np.empty((cap, 2))
-    r2 = np.empty(cap)
-    alive = np.zeros(cap, dtype=bool)
+def _locate(tv, tn, xy, t, q) -> tuple[int, int]:
+    """Visibility walk from triangle ``t`` to a triangle holding ``q``.
+    Returns it and the corner across from the edge ``q`` lies on (-1
+    when ``q`` is inside). The walk cannot cycle: the triangulation is
+    Delaunay whenever a point is located."""
+    while True:
+        v, on = tv[t], -1
+        for i in range(3):
+            side = _orient(xy[v[i - 2]], xy[v[i - 1]], q)
+            if side < 0:
+                t = tn[t][i]
+                break
+            if side == 0:
+                on = i
+        else:
+            return t, on
 
-    tris[0] = (s0, s1, s2)
-    centers[0:1], r2[0:1] = _circumcircles(P, tris[0:1])
-    alive[0] = True
-    m = 1  # high-water mark of the triangle arrays
 
-    order = np.random.default_rng(seed).permutation(n)
-    for p_idx in order:
-        q = P[p_idx]
-        d = centers[:m] - q
-        inside = alive[:m] & (np.einsum("ij,ij->i", d, d) < r2[:m])
-        bad = np.flatnonzero(inside)
-        # Boundary = edges of the cavity that appear exactly once.
-        edge_count: dict[tuple[int, int], int] = {}
-        for t in bad:
-            a, b, c = tris[t]
-            for e in ((a, b), (b, c), (c, a)):
-                key = (e[0], e[1]) if e[0] < e[1] else (e[1], e[0])
-                edge_count[key] = edge_count.get(key, 0) + 1
-        alive[bad] = False
-        boundary = [e for e, cnt in edge_count.items() if cnt == 1]
-        new = np.array(
-            [(p_idx, a, b) for a, b in boundary], dtype=np.int64
-        ).reshape(-1, 3)
-        k = new.shape[0]
-        if m + k > cap:
-            grow = max(cap, m + k)
-            tris = np.vstack([tris, np.empty((grow, 3), dtype=np.int64)])
-            centers = np.vstack([centers, np.empty((grow, 2))])
-            r2 = np.concatenate([r2, np.empty(grow)])
-            alive = np.concatenate([alive, np.zeros(grow, dtype=bool)])
-            cap += grow
-        tris[m : m + k] = new
-        centers[m : m + k], r2[m : m + k] = _circumcircles(P, new)
-        alive[m : m + k] = True
-        m += k
-        # Periodic compaction keeps the vectorized scan proportional to
-        # the number of live triangles.
-        if m > 4 * max(16, int(alive[:m].sum())):
-            keep = np.flatnonzero(alive[:m])
-            k2 = keep.size
-            tris[:k2] = tris[keep]
-            centers[:k2] = centers[keep]
-            r2[:k2] = r2[keep]
-            alive[:m] = False
-            alive[:k2] = True
-            m = k2
+def _flip(tv, tn, xy, stack: list[int]) -> None:
+    """Lawson flips around the new point p, corner 0 of every triangle
+    on ``stack``: while the triangle u across from p has its far corner
+    d strictly inside the circle through (p, b, c), replace the edge
+    (b, c) by (p, d)."""
+    while stack:
+        t = stack.pop()
+        u = tn[t][0]
+        if u < 0:
+            continue
+        j = tn[u].index(t)
+        p, b, c = tv[t]
+        d = tv[u][j]
+        if _incircle(xy[p], xy[b], xy[c], xy[d]) <= 0:
+            continue
+        _, ntb, ntc = tn[t]
+        nuc, nub = tn[u][j - 2], tn[u][j - 1]  # across (b, d) and (d, c)
+        tv[t], tn[t] = [p, b, d], [nuc, u, ntc]
+        tv[u], tn[u] = [p, d, c], [nub, ntb, t]
+        _relink(tn, nuc, u, t)
+        _relink(tn, ntb, t, u)
+        stack += [t, u]
 
-    # Checked on the input coordinates, with the super-triangle moved back.
-    return _check_delaunay(np.vstack([pts, sup + low]), n, tris[:m][alive[:m]])
+
+def _relink(tn, t, old, new) -> None:
+    """Point triangle ``t``'s link to ``old`` at ``new`` (no-op at -1)."""
+    if t >= 0:
+        tn[t][tn[t].index(old)] = new

@@ -128,7 +128,10 @@ def check_points(points: np.ndarray) -> np.ndarray:
     """A C-contiguous float64 copy of ``points``; ValueError unless it
     is a non-empty, finite (n, d) array whose box arithmetic is finite
     too: box centers (min + max) and four times the squared box diagonal,
-    the headroom ``bccp_kernel``'s |p|^2 + |q|^2 - 2 p.q form needs."""
+    the headroom ``bccp_kernel``'s |p|^2 + |q|^2 - 2 p.q form needs.
+    That diagonal term must also be 0 (all points equal) or a normal
+    float: below that, squared distances underflow and MSTs come out
+    light (all zero at extent 1e-170)."""
     pts = np.array(points, dtype=np.float64, copy=True, order="C")
     if pts.ndim != 2:
         raise ValueError("points must be (n, d)")
@@ -140,9 +143,12 @@ def check_points(points: np.ndarray) -> np.ndarray:
     lo, hi = np.minimum.reduceat(pts, [0])[0], np.maximum.reduceat(pts, [0])[0]
     with np.errstate(over="ignore", invalid="ignore"):
         span = hi - lo
-        ok = np.isfinite(lo + hi).all() and np.isfinite(4.0 * np.dot(span, span))
+        diag2 = 4.0 * np.dot(span, span)
+        ok = np.isfinite(lo + hi).all() and np.isfinite(diag2)
     if not ok:
         raise ValueError("coordinates too large: their bounding box is not finite in float64")
+    if diag2 < 2.0**-1022 and span.any():  # below the smallest normal float64
+        raise ValueError("coordinates too close together: their squared distances underflow float64")
     return pts
 
 

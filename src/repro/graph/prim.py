@@ -19,23 +19,9 @@ import numpy as np
 
 
 def mst_bruteforce(points: np.ndarray) -> np.ndarray:
-    """Exact EMST by dense Prim; returns (n-1, 3) [u, v, w] rows."""
-    n = points.shape[0]
-    in_tree = np.zeros(n, dtype=bool)
-    best = np.full(n, np.inf)
-    best_from = np.full(n, -1, dtype=np.int64)
-    best[0] = 0.0
-    edges = []
-    for _ in range(n):
-        u = int(np.argmin(np.where(in_tree, np.inf, best)))
-        in_tree[u] = True
-        if best_from[u] >= 0:
-            edges.append((int(best_from[u]), u, float(best[u])))
-        d = np.linalg.norm(points - points[u], axis=1)
-        upd = (~in_tree) & (d < best)
-        best[upd] = d[upd]
-        best_from[upd] = u
-    return np.asarray(edges, dtype=np.float64).reshape(-1, 3)
+    """Exact EMST by dense Prim; returns (n-1, 3) [u, v, w] rows. With
+    zero core distances max(d, 0) = d, so this is the mutual one's."""
+    return mst_bruteforce_mutual(points, np.zeros(points.shape[0]))
 
 
 def mst_bruteforce_mutual(points: np.ndarray, core_dist: np.ndarray) -> np.ndarray:

@@ -1,5 +1,9 @@
-"""Bowyer–Watson Delaunay substrate: structural and empty-circumcircle
-checks (Appendix A.1 depends on EMST ⊆ Delaunay edges)."""
+"""Exact incremental Delaunay substrate: structure, Gabriel edges in
+exact arithmetic, exact predicate signs, and EMST-Delaunay on cocircular
+input (Appendix A.1 depends on EMST ⊆ Gabriel ⊆ Delaunay edges)."""
+from fractions import Fraction
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -78,87 +82,78 @@ _COCIRCULAR = {
 
 @pytest.mark.parametrize("name", list(_COCIRCULAR))
 def test_delaunay_on_cocircular_points_is_exact_or_rejects(name):
-    """Bowyer–Watson's floating-point in-circle tests tie on cocircular
-    points. EMST-Delaunay must return Prim's weight or raise."""
+    """Cocircular points tie the in-circle test; with exact signs a tie
+    keeps its edge, and EMST-Delaunay returns Prim's weight."""
     pts = _COCIRCULAR[name]
     weight = mst_bruteforce(pts)[:, 2].sum()
-    try:
-        edges, _ = emst_delaunay(pts)
-    except ValueError:
-        return
+    edges, _ = emst_delaunay(pts)
     assert edges.shape == (pts.shape[0] - 1, 3)
-    assert np.isclose(edges[:, 2].sum(), weight, rtol=1e-9, atol=0)
+    assert np.isclose(edges[:, 2].sum(), weight, rtol=1e-12, atol=0)
 
 
-def _final_triangles(pts):
-    """(P, n, tris) that ``delaunay_edges(pts)`` hands its check."""
-    from repro.geometry import delaunay
-
-    seen = []
-    check = delaunay._check_delaunay
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(delaunay, "_check_delaunay", lambda *args: seen.append(args) or check(*args))
-        delaunay_edges(pts)
-    return seen[0]
-
-
-def test_check_rejects_a_triangulation_that_is_not_delaunay():
-    """Flipping one inner edge of a convex quadrilateral keeps a tiling
-    of the super-triangle but breaks the empty-circle property."""
-    from repro.geometry.delaunay import _check_delaunay, _orient
-
-    P, n, tris = _final_triangles(_pts(40, seed=5))
-    for t, u in zip(*np.triu_indices(len(tris), 1)):
-        shared = np.intersect1d(tris[t], tris[u])
-        if shared.size != 2 or (tris[[t, u]] >= n).any():
-            continue
-        (c,), (d,) = np.setdiff1d(tris[t], shared), np.setdiff1d(tris[u], shared)
-        a, b = shared
-        if _orient(P[c], P[d], P[a]) * _orient(P[c], P[d], P[b]) < 0:  # convex
-            break
-    flipped = tris.copy()
-    flipped[t], flipped[u] = (c, d, a), (c, d, b)
-    _check_delaunay(P, n, tris)
-    with pytest.raises(ValueError, match="span"):
-        _check_delaunay(P, n, flipped)
+def _gabriel_edges(pts):
+    """Pairs (u, v) with no other point in their closed diametral disk,
+    decided in exact fractions: w is outside iff (w - u).(w - v) > 0."""
+    P = [(Fraction(x), Fraction(y)) for x, y in pts.tolist()]
+    return {
+        (u, v)
+        for u, v in combinations(range(len(P)), 2)
+        if all(
+            (P[w][0] - P[u][0]) * (P[w][0] - P[v][0]) + (P[w][1] - P[u][1]) * (P[w][1] - P[v][1]) > 0
+            for w in range(len(P))
+            if w != u and w != v
+        )
+    }
 
 
-def test_check_rejects_folded_triangles():
-    """Swapping two points' labels keeps every edge count but folds
-    triangles over each other."""
-    from repro.geometry.delaunay import _check_delaunay
+_GABRIEL = {
+    "random": _pts(40, seed=11),
+    "12-gon": _regular_polygon(12),
+    "lattice-5x5": np.stack(np.meshgrid(np.arange(5.0), np.arange(5.0)), axis=-1).reshape(-1, 2),
+    "rounded-lattice": np.round(np.random.default_rng(3).random((40, 2)) * 2, 1),
+    "collinear": np.column_stack([np.arange(20.0), 3.0 * np.arange(20.0) + 1e6]),
+    # Gaps below 2**-225: triangulated in fractions throughout.
+    "extent-1e-75": _pts(30, seed=12) * 1e-76,
+}
 
-    P, n, tris = _final_triangles(_pts(40, seed=6))
-    swapped = np.where(tris == 3, 17, np.where(tris == 17, 3, tris))
-    with pytest.raises(ValueError, match="span"):
-        _check_delaunay(P, n, swapped)
+
+@pytest.mark.parametrize("name", list(_GABRIEL))
+def test_every_gabriel_edge_is_a_delaunay_edge(name):
+    """Every Gabriel edge, so every EMST edge, is in every Delaunay
+    triangulation of the points."""
+    pts = np.unique(_GABRIEL[name], axis=0)
+    edges = {tuple(e) for e in delaunay_edges(pts).tolist()}
+    assert _gabriel_edges(pts) <= edges
 
 
-def test_check_rejects_a_point_in_no_triangle():
-    """One more point, in no triangle: the rest still tile the
-    super-triangle, so only the triangle count shows it."""
-    from repro.geometry.delaunay import _check_delaunay
+def _exact_orient(a, b, c):
+    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
 
-    P, n, tris = _final_triangles(_pts(40, seed=7))
-    P2 = np.vstack([P[:n], P[:n].mean(axis=0), P[n:]])
-    with pytest.raises(ValueError, match="span"):
-        _check_delaunay(P2, n + 1, np.where(tris >= n, tris + 1, tris))
+
+def _exact_incircle(a, b, c, d):
+    """The lifted 3x3 determinant, rows p - d for p = a, b, c."""
+    (r0, r1, r2) = [(p[0] - d[0], p[1] - d[1], (p[0] - d[0]) ** 2 + (p[1] - d[1]) ** 2) for p in (a, b, c)]
+    return (
+        r0[0] * (r1[1] * r2[2] - r1[2] * r2[1])
+        - r0[1] * (r1[0] * r2[2] - r1[2] * r2[0])
+        + r0[2] * (r1[0] * r2[1] - r1[1] * r2[0])
+    )
 
 
 def test_signs_match_exact_fractions_on_near_ties():
     """Points of a rounded circle and of a lattice one ulp off: the
     signs of both predicates equal their exact rational values."""
-    from fractions import Fraction
-
-    from repro.geometry.delaunay import _incircle, _orient, _signs
+    from repro.geometry.delaunay import _incircle, _orient
 
     t = np.random.default_rng(0).random(60) * 2 * np.pi
     ring = np.column_stack([np.cos(t), np.sin(t)]) * 1e3 + 1e6
     grid = np.random.default_rng(1).integers(0, 3, (60, 2)) + 1e8
     grid[::2, 0] = np.nextafter(grid[::2, 0], np.inf)
     for P in (ring, grid):
-        idx = np.random.default_rng(2).integers(0, 60, (4, 400))
-        for fn, degree, corners in ((_orient, 2, idx[:3]), (_incircle, 4, idx)):
-            got = _signs(fn, degree, P, *corners)
-            exact = [fn(*[(Fraction(P[v, 0]), Fraction(P[v, 1])) for v in k]) for k in corners.T]
-            assert np.array_equal(got, [(e > 0) - (e < 0) for e in exact])
+        xy = P.tolist()
+        exact = [(Fraction(x), Fraction(y)) for x, y in xy]
+        idx = np.random.default_rng(2).integers(0, 60, (400, 4)).tolist()
+        for fn, ref, k in ((_orient, _exact_orient, 3), (_incircle, _exact_incircle, 4)):
+            got = [fn(*[xy[v] for v in row[:k]]) for row in idx]
+            want = [ref(*[exact[v] for v in row[:k]]) for row in idx]
+            assert got == [(w > 0) - (w < 0) for w in want]

@@ -11,7 +11,7 @@ from repro.core.hdbscan import hdbscan_mst
 from repro.core.optics import optics_approx_mst
 from repro.graph.boruvka import emst_boruvka
 from repro.graph.prim import mst_bruteforce
-from tests.test_kdtree import HUGE, spoil
+from tests.test_kdtree import HUGE, TINY, rejection, spoil
 
 METHODS = {
     "naive": lambda pts: emst_naive(pts)[0],
@@ -133,12 +133,24 @@ def test_delaunay_with_duplicates_matches_prim(pts):
     assert np.isclose(edges[:, 2].sum(), mst_bruteforce(pts)[:, 2].sum(), rtol=1e-12, atol=0)
 
 
-def test_delaunay_rejects_collinear_points():
-    """All-collinear input has no triangles; EMST-Delaunay must fail
-    rather than return a tree that does not span."""
+def test_delaunay_on_collinear_points_matches_prim():
+    """All-collinear input has no triangle on three of its points; the
+    super-triangle's corners still make a triangulation whose edges hold
+    the path along the line."""
     pts = np.column_stack([np.arange(50.0), 2.0 * np.arange(50.0)])
-    with pytest.raises(ValueError, match="span"):
-        emst_delaunay(pts)
+    edges, _ = emst_delaunay(pts)
+    assert edges.shape == (49, 3)
+    assert np.isclose(edges[:, 2].sum(), mst_bruteforce(pts)[:, 2].sum(), rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("e", [105, 150])
+def test_delaunay_far_beyond_unit_scale_matches_prim(e):
+    """At these extents the predicates' float terms overflow; their
+    signs then come from exact fractions."""
+    pts = np.random.default_rng(3).random((60, 2)) * 10.0**e
+    edges, _ = emst_delaunay(pts)
+    assert edges.shape == (59, 3)
+    assert np.isclose(edges[:, 2].sum(), mst_bruteforce(pts)[:, 2].sum(), rtol=1e-12, atol=0)
 
 
 def test_delaunay_rejects_non_2d():
@@ -161,9 +173,9 @@ def test_delaunay_shares_the_point_check(pts, msg):
 @pytest.mark.parametrize("name", ["naive", "gfk", "memogfk", "delaunay", "boruvka"])
 def test_emst_survives_large_translation(monkeypatch, name, small_cells):
     """Far from the origin the expanded |p|^2 + |q|^2 - 2 p.q form loses
-    every cross distance to cancellation (as do Delaunay's circumcircles);
-    the MST weight must not move, also with every pair sent through the
-    matmul kernels."""
+    every cross distance to cancellation, and Delaunay's float
+    predicates lose most of their digits; the MST weight must not move,
+    also with every pair sent through the matmul kernels."""
     if small_cells is not None:
         monkeypatch.setattr(bccp_mod, "_SMALL_CELLS", small_cells)
     pts = np.random.default_rng(0).random((300, 2))
@@ -173,11 +185,21 @@ def test_emst_survives_large_translation(monkeypatch, name, small_cells):
     assert np.isclose(edges[:, 2].sum(), ref, rtol=1e-6, atol=0)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, *HUGE])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, *HUGE, *TINY])
 @pytest.mark.parametrize(
     "method", ["naive", "gfk", "memogfk", "boruvka", "delaunay"]
 )
 def test_emst_rejects_non_finite_points(method, bad):
     pts = spoil(np.random.default_rng(1).random((50, 2)), bad, 17, 1)
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(ValueError, match=rejection(bad)):
         METHODS_2D[method](pts)
+
+
+@pytest.mark.parametrize("method", list(METHODS_2D))
+def test_emst_accepts_the_smallest_extent_that_squares(method):
+    """At extent 1e-150 squared distances are still normal floats, so
+    the input check accepts the points and every method is exact."""
+    pts = np.random.default_rng(3).random((60, 2)) * 1e-150
+    edges = METHODS_2D[method](pts)
+    assert edges.shape == (59, 3)
+    assert np.isclose(edges[:, 2].sum(), mst_bruteforce(pts)[:, 2].sum(), rtol=1e-12, atol=0)

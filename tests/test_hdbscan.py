@@ -17,7 +17,7 @@ from repro.geometry import kdtree as kdt
 from repro.geometry.knn import core_distances
 from repro.graph.prim import mst_bruteforce, mst_bruteforce_mutual
 from repro.graph.unionfind import UnionFind
-from tests.test_kdtree import HUGE, spoil
+from tests.test_kdtree import HUGE, TINY, rejection, spoil
 
 CASES = [
     ("uniform", 60, 2, 3),
@@ -169,12 +169,22 @@ def test_stats_pair_savings_memogfk_vs_gantao():
     assert s_new.bccp_computed <= s_std.bccp_computed
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, *HUGE])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, *HUGE, *TINY])
 @pytest.mark.parametrize("method", ["memogfk", "gantao"])
 def test_hdbscan_rejects_non_finite_points(method, bad):
     pts = spoil(sd.uniform_fill(80, 3, seed=2), bad, 5, 0)
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(ValueError, match=rejection(bad)):
         hdbscan_mst(pts, 5, method=method)
+
+
+@pytest.mark.parametrize("method", ["memogfk", "gantao"])
+def test_hdbscan_accepts_the_smallest_extent_that_squares(method):
+    """At extent 1e-150 squared distances are still normal floats."""
+    pts = np.random.default_rng(3).random((60, 2)) * 1e-150
+    ref = mst_bruteforce_mutual(pts, core_distances(kdt.build(pts), 3))[:, 2].sum()
+    edges, _, _ = hdbscan_mst(pts, 3, method=method)
+    assert edges.shape == (59, 3)
+    assert np.isclose(edges[:, 2].sum(), ref, rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("min_pts", [0, -1])

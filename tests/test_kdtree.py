@@ -32,13 +32,30 @@ HUGE = {
 }
 
 
+_base = np.random.default_rng(3).random((60, 2))
+# Inputs of nonzero extent whose squared distances underflow float64.
+# Unless the input check rejects them, every EMST and HDBSCAN* method
+# (and the Prim oracle) returns a tree of weight 0 on the last two, and
+# EMST trees 0.6% light on the first; at extent 1e-150 all are exact.
+TINY = {
+    "2d-1e-160": _base * 1e-160,
+    "2d-1e-170": _base * 1e-170,
+    "2d-1e-200": _base * 1e-200,
+}
+
+
 def spoil(pts, bad, row, col):
-    """``HUGE[bad]`` when ``bad`` names one of them, else ``pts`` with
-    pts[row, col] set to ``bad``."""
+    """``HUGE[bad]`` or ``TINY[bad]`` when ``bad`` names one of them,
+    else ``pts`` with pts[row, col] set to ``bad``."""
     if isinstance(bad, str):
-        return HUGE[bad].copy()
+        return {**HUGE, **TINY}[bad].copy()
     pts[row, col] = bad
     return pts
+
+
+def rejection(bad) -> str:
+    """What the ValueError for ``spoil``'s input says."""
+    return "close together" if isinstance(bad, str) and bad in TINY else "finite"
 
 
 def _reference_build(points):
@@ -225,10 +242,10 @@ def test_duplicate_points_build():
     assert np.allclose(t.radius, 0.0)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, *HUGE])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, *HUGE, *TINY])
 def test_build_rejects_non_finite_points(bad):
     pts = spoil(_pts(30, 2), bad, 3, 1)
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(ValueError, match=rejection(bad)):
         kdt.build(pts)
 
 

@@ -8,7 +8,7 @@ from repro.core.optics import optics_approx_mst
 from repro.geometry import kdtree as kdt
 from repro.geometry.knn import core_distances
 from repro.graph.prim import mst_bruteforce_mutual
-from tests.test_kdtree import HUGE
+from tests.test_kdtree import HUGE, TINY, rejection
 
 
 @pytest.mark.parametrize("rho", [0.125, 0.5])
@@ -75,10 +75,11 @@ def test_optics_rejects_non_finite_points():
         optics_approx_mst(pts, 5)
 
 
-@pytest.mark.parametrize("bad", list(HUGE))
+@pytest.mark.parametrize("bad", [*HUGE, *TINY])
 def test_optics_rejects_overflowing_points(bad):
-    with pytest.raises(ValueError, match="finite"):
-        optics_approx_mst(HUGE[bad], 5)
+    """Also where squared distances underflow."""
+    with pytest.raises(ValueError, match=rejection(bad)):
+        optics_approx_mst({**HUGE, **TINY}[bad], 5)
 
 
 @pytest.mark.parametrize("min_pts", [0, -1])

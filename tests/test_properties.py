@@ -1,9 +1,7 @@
 """Property test of every exact EMST / HDBSCAN* entry point: on small
 rounded lattices with duplicates, translated far from the origin,
 scaled by up to 12 orders of magnitude or permuted, each returns n - 1
-edges whose total weight is the dense Prim oracle's. EMST-Delaunay may
-instead reject the input (cocircular lattice points break its
-generic-position assumption), but only with ``ValueError``."""
+edges whose total weight is the dense Prim oracle's."""
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -60,12 +58,7 @@ def test_entry_points_match_prim_under_transforms(
     for name, solve in EMST.items():
         _check(solve(pts), n, weight)
     if d == 2:
-        try:
-            edges, _ = emst_delaunay(pts)
-        except ValueError:
-            pass
-        else:
-            _check(edges, n, weight)
+        _check(emst_delaunay(pts)[0], n, weight)
 
     min_pts = min(min_pts, n)
     weight = mst_bruteforce_mutual(pts, _dense_core_distances(pts, min_pts))[:, 2].sum()
