@@ -7,11 +7,15 @@ exercised, Arrow on for the pandas kernels.
 from __future__ import annotations
 
 import argparse
+from typing import TYPE_CHECKING
 
-from pyspark.sql import SparkSession
+if TYPE_CHECKING:
+    from pyspark.sql import SparkSession
 
 
 def get_spark(app: str) -> SparkSession:
+    from pyspark.sql import SparkSession
+
     return (
         SparkSession.builder.appName(app)
         .config("spark.sql.shuffle.partitions", "64")

@@ -35,11 +35,14 @@ otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from pyspark.sql import SparkSession
 
 from ..graph.kruskal import spanning_forest
+
+if TYPE_CHECKING:
+    from pyspark.sql import SparkSession
 
 # Bands hold at most this many edges; each is solved bottom-up.
 _SEQ_CUTOFF = 256

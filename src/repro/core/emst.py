@@ -15,8 +15,9 @@ against a Prim oracle).
 """
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
-from pyspark.sql import SparkSession
 
 from ..geometry import kdtree as kdt
 from ..geometry.delaunay import delaunay_edges
@@ -24,6 +25,9 @@ from ..graph import kruskal
 from .gfk import GfkStats, compute_bccps, gfk_mst
 from .memogfk import memogfk_mst
 from .wspd import wspd
+
+if TYPE_CHECKING:
+    from pyspark.sql import SparkSession
 
 
 def emst_naive(

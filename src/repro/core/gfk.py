@@ -8,8 +8,8 @@ Round structure (exactly the paper's):
 3. S_l1 = pairs with BCCP <= rho_hi. BCCPs are computed only for the
    S_l pairs with d(A, B) <= rho_hi: the others cannot be in S_l1 yet,
    and stay for later rounds, where most are filtered out by step 5
-   before their BCCP is ever computed. A computed BCCP stays in the
-   pair's row of the materialized WSPD for the later rounds.
+   before their BCCP is ever computed. A computed BCCP stays with its
+   pair for the later rounds.
 4. Feed S_l1's edges to Kruskal (one component array for the whole run).
 5. Filter out remaining pairs whose two sides are already fully inside
    one component.
@@ -23,14 +23,17 @@ of Tables 2/4/5.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from pyspark.sql import SparkSession
 
 from ..geometry.kdtree import KDTree
 from ..graph.kruskal import kruskal_batch
 from . import bccp as bccp_mod
 from .wspd import pair_point_count, v_center_dist, v_lower
+
+if TYPE_CHECKING:
+    from pyspark.sql import SparkSession
 
 
 @dataclass
@@ -107,46 +110,40 @@ def gfk_mst(
     """
     comp = np.arange(tree.n)
     out_edges = [np.empty((0, 3))]
-    # Per-pair BCCP cache, by position in ``pairs``; NaN: not computed yet.
-    edges = np.full((pairs.shape[0], 3), np.nan)
     stats = GfkStats(pairs_materialized=int(pairs.shape[0]))
 
+    # The live pairs as parallel arrays, filtered together once per
+    # round. (u, v, w) is a pair's BCCP edge; w is NaN until computed.
+    A, B = np.ascontiguousarray(pairs.T)
     card = pair_point_count(tree, pairs)
-    A, B = pairs[:, 0], pairs[:, 1]
     lbs = v_lower(tree, A, B, star, v_center_dist(tree, A, B))
-    active = np.arange(pairs.shape[0])
+    u, v = np.zeros((2, A.size), np.int64)
+    w = np.full(A.size, np.nan)
     beta = 2
     # Once the tree spans, step 5 filters out every pair.
-    while active.size > 0:
+    while A.size > 0:
         stats.rounds += 1
-        in_l = card[active] <= beta
-        s_l = active[in_l]
-        s_u = active[~in_l]
-        rho_hi = float(lbs[s_u].min()) if s_u.size else np.inf
+        in_l = card <= beta
+        rho_hi = float(lbs[~in_l].min()) if not in_l.all() else np.inf
         # Line 6 gate: BCCP >= lbs, so a pair with lbs > rho_hi cannot
-        # pass the take test below; it stays active, uncomputed (a NaN
+        # pass the take test below; it stays live, uncomputed (a NaN
         # weight fails that test).
-        todo = s_l[np.isnan(edges[s_l, 2]) & (lbs[s_l] <= rho_hi)]
+        todo = np.flatnonzero(in_l & np.isnan(w) & (lbs <= rho_hi))
         if todo.size:
-            edges[todo] = compute_bccps(tree, pairs[todo], star, stats, spark)
-        edges_l = edges[s_l]
-        take = edges_l[:, 2] <= rho_hi
-        batch = edges_l[take]
-        kruskal_batch(
-            batch[:, 0].astype(np.int64),
-            batch[:, 1].astype(np.int64),
-            batch[:, 2],
-            comp,
-            out_edges,
-        )
-        remaining = np.concatenate([s_l[~take], s_u])
-        if remaining.size:
+            e = compute_bccps(
+                tree, np.column_stack([A[todo], B[todo]]), star, stats, spark
+            )
+            u[todo], v[todo], w[todo] = e[:, 0], e[:, 1], e[:, 2]
+        take = in_l & (w <= rho_hi)
+        kruskal_batch(u[take], v[take], w[take], comp, out_edges)
+        left = ~take
+        if left.any():
             mono = mono_labels(tree, comp)
-            ma = mono[pairs[remaining, 0]]
-            mb = mono[pairs[remaining, 1]]
-            keep = ~((ma != -1) & (ma == mb))
-            active = remaining[keep]
-        else:
-            active = remaining
+            ma, mb = mono[A], mono[B]
+            left &= (ma == -1) | (ma != mb)
+        # The remaining pairs: S_l's untaken ones, then S_u's (the order
+        # that Kruskal's weight ties in later rounds are broken by).
+        rest = np.concatenate([np.flatnonzero(in_l & left), np.flatnonzero(~in_l & left)])
+        A, B, card, lbs, u, v, w = (x[rest] for x in (A, B, card, lbs, u, v, w))
         beta *= 2
     return np.concatenate(out_edges), stats

@@ -20,8 +20,9 @@ reachability-plot generation lives in ``repro.core.dendrogram``.
 """
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
-from pyspark.sql import SparkSession
 
 from ..geometry import kdtree as kdt
 from ..geometry import knn
@@ -29,6 +30,9 @@ from ..graph.kruskal import spanning_forest
 from .gfk import GfkStats
 from .memogfk import memogfk_mst
 from .wspd import wspd
+
+if TYPE_CHECKING:
+    from pyspark.sql import SparkSession
 
 
 def core_distances(

@@ -32,8 +32,9 @@ session fans each round's BCCP batch out to executors
 """
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
-from pyspark.sql import SparkSession
 
 from ..geometry.kdtree import KDTree
 from ..graph.kruskal import kruskal_batch
@@ -46,6 +47,9 @@ from .wspd import (
     v_lower,
     v_well_separated,
 )
+
+if TYPE_CHECKING:
+    from pyspark.sql import SparkSession
 
 _MAX_ROUNDS = 128  # beta doubles per get_rho call: a correct run needs ~log2(n)
 

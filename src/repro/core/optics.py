@@ -16,13 +16,17 @@ this O(n * minPts^2)-edge graph approximates the OPTICS/HDBSCAN* MST.
 """
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
-from pyspark.sql import SparkSession
 
 from ..graph import kruskal
 from .gfk import GfkStats
 from .hdbscan import core_tree
 from .wspd import wspd
+
+if TYPE_CHECKING:
+    from pyspark.sql import SparkSession
 
 
 def _pair_edges(

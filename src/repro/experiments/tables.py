@@ -22,10 +22,9 @@ import os
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
-from pyspark.sql import SparkSession
 
 from ..core import emst as emst_mod
 from ..core.dendrogram import dendrogram_topdown
@@ -34,6 +33,9 @@ from ..core.optics import optics_approx_mst
 from ..core.wspd import PairBudgetExceeded
 from ..graph.boruvka import emst_boruvka
 from . import datasets
+
+if TYPE_CHECKING:
+    from pyspark.sql import SparkSession
 
 MAX_PAIRS = int(os.environ.get("REPRO_MAX_PAIRS", "1500000"))
 

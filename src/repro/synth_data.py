@@ -10,8 +10,14 @@ substitution. All generators are deterministic in ``seed`` and return
 (n, d) float64 NumPy arrays (the algorithms' native input); use
 ``points_pdf`` to get a DataFrame for the DuckDB oracle.
 """
+from __future__ import annotations
+
+from typing import TYPE_CHECKING
+
 import numpy as np
-import pandas as pd
+
+if TYPE_CHECKING:
+    import pandas as pd
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -21,6 +27,8 @@ def _rng(seed: int) -> np.random.Generator:
 def points_pdf(points) -> pd.DataFrame:
     """(n, d) array -> pandas frame with columns id, x0..x{d-1} — the
     relational view used by the DuckDB oracle tests."""
+    import pandas as pd
+
     pts = np.asarray(points, dtype=np.float64)
     cols = {"id": np.arange(pts.shape[0], dtype=np.int64)}
     for j in range(pts.shape[1]):
