@@ -7,8 +7,8 @@
 on four degenerate inputs (5x duplicates, identical points, a +1e9
 translation and an integer lattice), everything that reads the kd-tree:
 the tree arrays with the core-distance summaries (min_pts = 10), the
-MST edges of EMST-Naive, -GFK and -MemoGFK (and of EMST-Delaunay on the
-2D inputs), of HDBSCAN* under both
+MST edges of EMST-Naive, -GFK and -MemoGFK, of the Boruvka baseline
+(and of EMST-Delaunay on the 2D inputs), of HDBSCAN* under both
 methods and of approximate OPTICS (seed 0), the node arrays
 (left/right/weight/root; node ids are edge ranks, so they compare bit
 for bit) and reachability plots of the top-down and the bottom-up
@@ -73,12 +73,14 @@ def outputs(pts: np.ndarray) -> dict[str, np.ndarray]:
     from repro.core.emst import emst_delaunay, emst_gfk, emst_memogfk, emst_naive
     from repro.core.hdbscan import core_tree, dbscan_star_from_mst, hdbscan_mst
     from repro.core.optics import optics_approx_mst
+    from repro.graph.boruvka import emst_boruvka
 
     tree, cd = core_tree(pts, _MIN_PTS)
     out = {f"tree.{a}": getattr(tree, a) for a in _TREE}
     out["emst_naive"] = emst_naive(pts)[0]
     out["emst_gfk"] = emst_gfk(pts)[0]
     out["emst_memogfk"] = emst_memogfk(pts)[0]
+    out["emst_boruvka"] = emst_boruvka(pts)
     if pts.shape[1] == 2:
         out["emst_delaunay"] = emst_delaunay(pts)[0]
     for method in ("memogfk", "gantao"):

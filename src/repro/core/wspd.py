@@ -144,12 +144,6 @@ def pair_point_count(tree: KDTree, pairs: np.ndarray) -> np.ndarray:
     return sz[pairs[:, 0]] + sz[pairs[:, 1]]
 
 
-def pair_node_dist(tree: KDTree, pairs: np.ndarray) -> np.ndarray:
-    """Vectorized d(A, B) for an (k, 2) pair array."""
-    A, B = pairs[:, 0], pairs[:, 1]
-    return v_gap(tree, A, B, v_center_dist(tree, A, B))
-
-
 def separation_predicate(tree: KDTree, kind: str | float):
     """Scalar separation test (used by tests; the algorithms use the
     vectorized form)."""

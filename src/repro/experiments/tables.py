@@ -129,7 +129,7 @@ def run_cells(
 
 
 def table3(names: list[str] | None = None) -> dict[str, dict[str, Cell]]:
-    """Table 3: sequential dual-tree Boruvka EMST times (the mlpack
+    """Table 3: sequential Boruvka EMST times (the mlpack
     baseline stand-in; see DESIGN.md §2)."""
     boruvka = Method(lambda pts, _: (emst_boruvka(pts), None))
     return run_cells({"Boruvka": boruvka}, names or datasets.ALL_DATASETS)

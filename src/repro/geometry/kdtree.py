@@ -2,9 +2,9 @@
 
 This is the substrate used by every algorithm in the paper: WSPD
 construction (Algorithm 1), the GetRho/GetPairs pruned traversals of
-MemoGFK (Algorithm 3), k-NN core-distance queries, and the dual-tree
-Boruvka baseline; a run builds it once (k-NN and Boruvka scan nodes
-capped by size). Nodes are stored in flat NumPy arrays so the whole
+MemoGFK (Algorithm 3), k-NN core-distance queries, and the Boruvka
+baseline; a run builds it once (k-NN and Boruvka share one block
+kernel over its nodes capped by size, ``repro.geometry.knn``). Nodes are stored in flat NumPy arrays so the whole
 tree can be pickled into a Spark broadcast variable and traversed
 cheaply inside executors.
 

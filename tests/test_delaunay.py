@@ -25,7 +25,7 @@ def test_edge_count_planar_bound(n):
 
 @pytest.mark.parametrize("n", [20, 100, 500])
 def test_triangulation_connected_and_spans(n):
-    from repro.graph.unionfind import UnionFind
+    from tests.unionfind import UnionFind
 
     pts = _pts(n, seed=n + 1)
     edges = delaunay_edges(pts)

@@ -16,7 +16,7 @@ from repro.core.dendrogram import (
 )
 from repro.core.emst import emst_memogfk
 from repro.graph.prim import mst_bruteforce, reachability_plot
-from repro.graph.unionfind import UnionFind
+from tests.unionfind import UnionFind
 
 
 def _random_tree(n, seed, shape="mst"):

@@ -109,9 +109,28 @@ def test_emst_with_duplicates():
     base = rng.random((40, 3))
     pts = np.vstack([base, base[:10]])
     ref = np.sort(mst_bruteforce(pts)[:, 2])
-    for name in ("naive", "gfk", "memogfk"):
+    for name in ("naive", "gfk", "memogfk", "boruvka"):
         edges = METHODS[name](pts)
         assert np.allclose(np.sort(edges[:, 2]), ref), name
+
+
+@pytest.mark.parametrize(
+    "pts",
+    [
+        sd.ht_like(400, seed=1),
+        sd.chem_like(300, seed=2),
+        np.tile(sd.uniform_fill(60, 3, seed=3), (5, 1)),
+    ],
+    ids=["10d-ht", "16d-chem", "3d-5x-duplicates"],
+)
+def test_boruvka_matches_prim_where_boxes_prune_little(pts):
+    """Box bounds prune least in high dimensions, and every point of a
+    5x duplicated set is its own copies' nearest point; the weights must
+    still be Prim's."""
+    edges = emst_boruvka(pts)
+    assert edges.shape == (pts.shape[0] - 1, 3)
+    ref = np.sort(mst_bruteforce(pts)[:, 2])
+    assert np.allclose(np.sort(edges[:, 2]), ref, rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize(

@@ -9,13 +9,13 @@ from repro.core.emst import emst_gfk, emst_memogfk
 from repro.core.gfk import GfkStats, gfk_mst, mono_labels
 from repro.core.hdbscan import hdbscan_mst
 from repro.core.memogfk import get_pairs, get_rho
-from repro.core.wspd import pair_node_dist, pair_point_count, wspd
+from repro.core.wspd import pair_point_count, v_center_dist, v_gap, wspd
 from repro.geometry import kdtree as kdt
 from repro.geometry.knn import core_distances
 from repro.graph.kruskal import kruskal_batch
 from repro.graph.prim import mst_bruteforce, mst_bruteforce_mutual
-from repro.graph.unionfind import UnionFind
 from repro.synth_data import geolife_like, uniform_fill
+from tests.unionfind import UnionFind
 
 
 def _tree(n=300, d=2, seed=0):
@@ -183,9 +183,10 @@ def _gfk_line6_reference(tree, pairs, star):
     out = [np.empty((0, 3))]
     edges = np.full((pairs.shape[0], 3), np.nan)
     card = pair_point_count(tree, pairs)
-    lbs = pair_node_dist(tree, pairs)
+    A, B = pairs[:, 0], pairs[:, 1]
+    lbs = v_gap(tree, A, B, v_center_dist(tree, A, B))
     if star:
-        lbs = np.maximum(lbs, np.maximum(tree.cd_min[pairs[:, 0]], tree.cd_min[pairs[:, 1]]))
+        lbs = np.maximum(lbs, np.maximum(tree.cd_min[A], tree.cd_min[B]))
     active = np.arange(pairs.shape[0])
     beta = 2
     while active.size:

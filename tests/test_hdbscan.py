@@ -16,8 +16,8 @@ from repro.core.optics import optics_approx_mst
 from repro.geometry import kdtree as kdt
 from repro.geometry.knn import core_distances
 from repro.graph.prim import mst_bruteforce, mst_bruteforce_mutual
-from repro.graph.unionfind import UnionFind
 from tests.test_kdtree import HUGE, TINY, rejection, spoil
+from tests.unionfind import UnionFind
 
 CASES = [
     ("uniform", 60, 2, 3),

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.graph.kruskal import kruskal_batch, mst, spanning_forest
 from repro.graph.prim import mst_bruteforce
-from repro.graph.unionfind import UnionFind
+from tests.unionfind import UnionFind
 
 
 def _n_components(uf, n):

@@ -8,10 +8,10 @@ import pytest
 from repro import synth_data as sd
 from repro.core.wspd import (
     PairBudgetExceeded,
-    pair_node_dist,
     pair_point_count,
     separation_predicate,
     v_center_dist,
+    v_gap,
     v_well_separated,
     wspd,
 )
@@ -104,7 +104,7 @@ def test_hdbscan_separation_is_superset_and_smaller(min_pts):
     # separation on the same node pair.
     A, B = p_std[:, 0], p_std[:, 1]
     geo = v_well_separated(tree, A, B, "hdbscan", v_center_dist(tree, A, B))
-    gap = pair_node_dist(tree, p_std)
+    gap = v_gap(tree, A, B, v_center_dist(tree, A, B))
     diam = 2.0 * np.maximum(tree.radius[p_std[:, 0]], tree.radius[p_std[:, 1]])
     assert np.all(geo[gap >= diam])
 
@@ -129,7 +129,8 @@ def test_pair_helpers():
     card = pair_point_count(tree, pairs)
     sz = tree.hi - tree.lo
     assert np.array_equal(card, sz[pairs[:, 0]] + sz[pairs[:, 1]])
-    nd = pair_node_dist(tree, pairs)
+    A, B = pairs[:, 0], pairs[:, 1]
+    nd = v_gap(tree, A, B, v_center_dist(tree, A, B))
     assert (nd >= 0).all()
     for k in range(0, pairs.shape[0], max(1, pairs.shape[0] // 20)):
         a, b = map(int, pairs[k])
