@@ -25,7 +25,8 @@ def print_tables(chosen: set[str], args, spark) -> None:
                 if c.stats:
                     print(
                         f"  [{name} / {m}] pairs={c.stats.get('pairs')} "
-                        f"bccp={c.stats.get('bccp')} rounds={c.stats.get('rounds')}"
+                        f"bccp={c.stats.get('bccp')} rounds={c.stats.get('rounds')} "
+                        f"visits={c.stats.get('visits')}"
                     )
     if chosen & {"2", "5"}:
         t5 = tables.table5(spark, args.datasets, min_pts=args.minpts)

@@ -49,6 +49,7 @@ class GfkStats:
     bccp_computed: int = 0
     pairs_materialized: int = 0       # peak simultaneously-live pairs
     bccp_work_cells: int = 0          # brute-force cells of the pairs handed to BCCP
+    visits: int = 0                   # frontier pairs MemoGFK's traversal handles
 
 
 def mono_labels(tree: KDTree, comp: np.ndarray) -> np.ndarray:

@@ -1,21 +1,24 @@
 """Parallel MemoGFK (Algorithm 3) — the memory-optimized GFK.
 
-The full WSPD is never materialized. Each round:
+The full WSPD is never materialized. Each round makes one pruned
+kd-tree traversal:
 
-* ``get_rho`` — first pruned kd-tree traversal: a WRITEMIN over the
-  BCCP lower bounds of (implicit) well-separated pairs with cardinality
-  > beta that are not yet connected, yielding rho_hi.
-* ``get_pairs`` — second pruned traversal: retrieve only well-separated
-  pairs whose BCCP lies in [rho_lo, rho_hi), pruning on the bounding-
-  sphere bounds (Figure 3) and on component connectivity (``mono_labels``).
+* ``get_rho`` — GETRHO inside the GETPAIRS descent: a running WRITEMIN
+  over the BCCP lower bounds of the unconnected well-separated pairs
+  with cardinality > beta yields rho_hi and prunes the descent, which
+  keeps the smaller pairs whose BCCP may lie in [rho_lo, rho_hi),
+  pruning on the bounding-sphere bounds (Figure 3) and on component
+  connectivity (``mono_labels``).
+* ``get_pairs`` — the fill: those pairs' BCCPs, cut to [rho_lo, rho_hi).
 * the retrieved edges go to Kruskal; rho_lo = rho_hi; beta *= 2.
   A round whose rho_hi does not exceed rho_lo would retrieve nothing:
   it only doubles beta and calls ``get_rho`` again.
 
-Both traversals are level-synchronous vectorized versions of the
-FINDPAIR recursion (same visitation DAG, frontier kept in NumPy
-arrays); get_rho's WRITEMIN is applied per level, which can only make
-rho_hi-based pruning *weaker* than the sequential DFS, never wrong.
+The traversal is a level-synchronous vectorized version of the FINDPAIR
+recursion (same visitation DAG, frontier kept in NumPy arrays). Its
+WRITEMIN falls level by level, which can only make its pruning weaker
+than the sequential DFS's, never wrong: each round offers every edge in
+[rho_lo, rho_hi), so MemoGFK is exact for any rising rho schedule.
 
 One function serves three paper variants:
 
@@ -77,90 +80,82 @@ def _seeds(tree: KDTree, mono: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def get_rho(
     tree: KDTree,
     beta: int,
+    rho_lo: float,
     mono: np.ndarray,
     kind: str | float,
     star: bool,
-) -> float:
-    """GETRHO (Algorithm 3, Line 4): lower bound on the lightest edge
-    any not-yet-connected pair with cardinality > beta can produce."""
+    stats: GfkStats,
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """GETRHO inside the GETPAIRS descent (Algorithm 3, Lines 4-5).
+    Returns (rho_hi, pairs (k, 2), bounds (k, 2)): the unconnected
+    well-separated pairs with cardinality <= beta whose BCCP may lie in
+    [rho_lo, rho_hi), with their (lo, hi) bounds on it.
+
+    ``est``, a running WRITEMIN of the lower bounds of the unconnected
+    well-separated pairs with cardinality > beta, ends as rho_hi. Prunes
+    (Figure 3b): A, B in one component, hi < rho_lo, or lo >= est; when
+    est falls, candidates with lo >= est are dropped too. Bounds nest
+    down the traversal, so a pruned pair's descendants share its reason
+    and no pair in range is lost. ``est`` is taken before a level's range
+    prune; once est <= rho_lo the round is empty and returns.
+    """
     sz = (tree.hi - tree.lo).astype(np.int64)
-    rho_hi = np.inf
+    est = np.inf
+    pairs: list[np.ndarray] = [np.empty((0, 2), dtype=np.int64)]
+    bounds: list[np.ndarray] = [np.empty((0, 2))]
     A, B = _seeds(tree, mono)
+    lo, hi = np.zeros(A.size), np.full(A.size, np.inf)
     while A.size:
-        keep = sz[A] + sz[B] > beta  # S_l pairs (and descendants) pruned
-        keep &= ~((mono[A] != -1) & (mono[A] == mono[B]))
-        A, B = A[keep], B[keep]
-        if not A.size:
-            break
+        stats.visits += A.size
+        keep = ~((mono[A] != -1) & (mono[A] == mono[B]))
+        A, B, lo, hi = A[keep], B[keep], lo[keep], hi[keep]
         c = v_center_dist(tree, A, B)
-        lb = v_lower(tree, A, B, star, c)
-        live = lb < rho_hi
-        A, B, lb, c = A[live], B[live], lb[live], c[live]
-        if not A.size:
-            break
+        lb, ub = _v_bounds(tree, A, B, star, c)
+        lo = np.minimum(np.maximum(lo, lb), hi)
+        hi = np.maximum(np.minimum(hi, ub), lo)
+        live = lo < est
+        A, B, c, lo, hi = A[live], B[live], c[live], lo[live], hi[live]
         ws = v_well_separated(tree, A, B, kind, c)
-        if np.any(ws):
-            rho_hi = min(rho_hi, float(lb[ws].min()))  # WRITEMIN
-        A, B = split_frontier(tree, A[~ws], B[~ws])
-    return float(rho_hi)
+        big = ws & (sz[A] + sz[B] > beta)
+        if big.any() and (m := float(lo[big].min())) < est:
+            est = m  # WRITEMIN
+            if est <= rho_lo:
+                return est, pairs[0], bounds[0]
+            stale = [b[:, 0] < est for b in bounds]
+            pairs = [p[s] for p, s in zip(pairs, stale)]
+            bounds = [b[s] for b, s in zip(bounds, stale)]
+        live = (hi >= rho_lo) & (lo < est)
+        cand = ws & ~big & live
+        pairs.append(np.stack([A[cand], B[cand]], axis=1))
+        bounds.append(np.stack([lo[cand], hi[cand]], axis=1))
+        split = ~ws & live
+        A, B = split_frontier(tree, A[split], B[split])
+        lo, hi = np.tile(lo[split], 2), np.tile(hi[split], 2)
+    return est, np.concatenate(pairs), np.concatenate(bounds)
 
 
 def get_pairs(
     tree: KDTree,
     rho_lo: float,
     rho_hi: float,
-    mono: np.ndarray,
-    kind: str | float,
+    pairs: np.ndarray,
+    bounds: np.ndarray,
     star: bool,
     stats: GfkStats,
     spark: SparkSession | None = None,
 ) -> np.ndarray:
-    """GETPAIRS (Algorithm 3, Line 5): edges of well-separated pairs
-    with BCCP in [rho_lo, rho_hi), via a bounds-pruned traversal.
+    """GETPAIRS's fill (Algorithm 3, Line 5): the BCCP edges of
+    ``get_rho``'s candidate ``pairs`` in [rho_lo, rho_hi), from one
+    ``compute_bccps`` call (``bccp_batch``, or one Spark fan-out).
 
-    Prunes (Figure 3b): d_max(A,B) < rho_lo (descendants' BCCPs below
-    range), lb >= rho_hi (descendants' BCCPs above range), or A, B
-    already in one component. Well-separated survivors get their BCCP
-    computed (one ``bccp_batch`` call, or one Spark fan-out); only
-    in-range ones are materialized as edges.
-
-    A pair is in range when its weight clamped into its bounds is, and
-    a pair's bounds are kept inside those of every pair above it in the
-    traversal. So however the bounds and the weight round, no pair
-    above it is pruned in the round its clamped weight falls in, and
-    the edge is offered exactly once. The edge keeps its true weight.
+    A pair is in range when its weight clamped into its ``bounds`` is:
+    the bounds nest down the traversal, so however they and the weight
+    round, no pair above it was pruned in the round its clamped weight
+    falls in, and the edge is offered once, with its true weight.
     """
-    candidates: list[np.ndarray] = []
-    bounds: list[np.ndarray] = []
-    A, B = _seeds(tree, mono)
-    lo, hi = np.zeros(A.size), np.full(A.size, np.inf)
-    while A.size:
-        keep = ~((mono[A] != -1) & (mono[A] == mono[B]))
-        A, B, lo, hi = A[keep], B[keep], lo[keep], hi[keep]
-        if not A.size:
-            break
-        c = v_center_dist(tree, A, B)
-        lb, ub = _v_bounds(tree, A, B, star, c)
-        lo = np.minimum(np.maximum(lo, lb), hi)
-        hi = np.maximum(np.minimum(hi, ub), lo)
-        live = (hi >= rho_lo) & (lo < rho_hi)
-        A, B, c, lo, hi = A[live], B[live], c[live], lo[live], hi[live]
-        if not A.size:
-            break
-        ws = v_well_separated(tree, A, B, kind, c)
-        candidates.append(np.stack([A[ws], B[ws]], axis=1))
-        bounds.append(np.stack([lo[ws], hi[ws]], axis=1))
-        split = ~ws
-        A, B = split_frontier(tree, A[split], B[split])
-        lo, hi = np.tile(lo[split], 2), np.tile(hi[split], 2)
-    if not candidates:
-        return np.empty((0, 3))
-    cand = np.concatenate(candidates, axis=0)
-    lo, hi = np.concatenate(bounds, axis=0).T
-    stats.pairs_materialized = max(stats.pairs_materialized, cand.shape[0])
-
-    edges = compute_bccps(tree, cand, star, stats, spark)
-    w = np.clip(edges[:, 2], lo, hi)
+    stats.pairs_materialized = max(stats.pairs_materialized, pairs.shape[0])
+    edges = compute_bccps(tree, pairs, star, stats, spark)
+    w = np.clip(edges[:, 2], bounds[:, 0], bounds[:, 1])
     return edges[(rho_lo <= w) & (w < rho_hi)]
 
 
@@ -190,12 +185,14 @@ def memogfk_mst(
             rho_calls += 1
             if rho_calls > _MAX_ROUNDS:
                 raise RuntimeError("MemoGFK failed to converge (bug)")
-            rho_hi = get_rho(tree, beta, mono, separation, star)
+            rho_hi, pairs, bounds = get_rho(
+                tree, beta, rho_lo, mono, separation, star, stats
+            )
             if rho_hi > rho_lo:
                 break
             beta *= 2
         stats.rounds += 1
-        batch = get_pairs(tree, rho_lo, rho_hi, mono, separation, star, stats, spark)
+        batch = get_pairs(tree, rho_lo, rho_hi, pairs, bounds, star, stats, spark)
         kruskal_batch(
             batch[:, 0].astype(np.int64),
             batch[:, 1].astype(np.int64),

@@ -46,7 +46,7 @@ APPENDIX_C_DATASETS = ["2D-UniformFill", "2D-SS-varden"]
 OPTICS_RHO = 0.125
 
 TITLES = {
-    "3": "Table 3 (reproduction): sequential dual-tree Boruvka EMST (s)",
+    "3": "Table 3 (reproduction): sequential Boruvka EMST on the k-NN blocks (s)",
     "4": "Table 4 (reproduction): EMST times (s)",
     "5": "Table 5 (reproduction): HDBSCAN* times, minPts={min_pts} (s)",
     "C": f"Appendix C (reproduction): approximate OPTICS, rho={OPTICS_RHO},"
@@ -113,6 +113,7 @@ def run_cells(
                     pairs=stats.pairs_materialized,
                     bccp=stats.bccp_computed,
                     rounds=stats.rounds,
+                    visits=stats.visits,
                 )
             if method.exact:
                 if ref_weight is None:

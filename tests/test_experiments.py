@@ -149,7 +149,7 @@ def test_tables_job_prints_table3():
         env=env, capture_output=True, text=True, timeout=300, check=True,
     ).stdout
     lines = out.splitlines()
-    assert "Table 3 (reproduction): sequential dual-tree Boruvka EMST (s)" in lines
+    assert "Table 3 (reproduction): sequential Boruvka EMST on the k-NN blocks (s)" in lines
     assert "2D-UniformFill-200" in out
     assert "Table 4" not in out
     assert (

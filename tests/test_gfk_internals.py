@@ -51,7 +51,7 @@ def test_get_rho_lower_bounds_big_pair_bccps(beta):
     makes the [rho_lo, rho_hi) batch safe for Kruskal)."""
     t = _tree(seed=2)
     mono = mono_labels(t, _random_labels(t.n, 120, seed=3))
-    rho = get_rho(t, beta, mono, "s2", star=False)
+    rho = get_rho(t, beta, 0.0, mono, "s2", False, GfkStats())[0]
     sz = t.hi - t.lo
     for a, b in wspd(t, "s2"):
         a, b = int(a), int(b)
@@ -79,14 +79,45 @@ def test_get_pairs_returns_exactly_in_range_edges(lo_q, hi_q):
     rho_lo = float(np.quantile(all_w, lo_q)) if lo_q > 0 else 0.0
     rho_hi = float(np.quantile(all_w, min(hi_q, 1.0))) if hi_q <= 1 else np.inf
     expect = np.sort(all_w[keep & (all_w >= rho_lo) & (all_w < rho_hi)])
-    got = get_pairs(t, rho_lo, rho_hi, mono, "s2", False, GfkStats(), None)
+    # beta > n: no pair is big, so get_rho's candidates are every
+    # unconnected well-separated pair that may be in range.
+    _, cand, bounds = get_rho(t, t.n + 1, rho_lo, mono, "s2", False, GfkStats())
+    got = get_pairs(t, rho_lo, rho_hi, cand, bounds, False, GfkStats(), None)
     assert np.allclose(np.sort(got[:, 2]), expect)
+
+
+@pytest.mark.parametrize("beta", [2, 8, 64])
+def test_round_returns_exactly_in_range_bccp_star_edges(beta):
+    """One HDBSCAN*-MemoGFK round (new separation, BCCP*): get_rho then
+    get_pairs return precisely the BCCP* edges of the unconnected WSPD
+    pairs in [rho_lo, rho_hi), and rho_hi lower-bounds the BCCP* of
+    every unconnected pair with cardinality > beta."""
+    t = _tree(seed=23, n=200)
+    kdt.attach_core_distances(t, core_distances(t, 5))
+    mono = mono_labels(t, _random_labels(t.n, 60, seed=12))
+    pairs = wspd(t, "hdbscan")
+    w = np.array([bccp_star(t, int(a), int(b))[2] for a, b in pairs])
+    a, b = pairs.T
+    sz = t.hi - t.lo
+    card = sz[a] + sz[b]
+    unconnected = ~((mono[a] != -1) & (mono[a] == mono[b]))
+    # Between the lightest pair and the lightest one with cardinality >
+    # 2: every round's rho_lo is at most the latter, as in a run.
+    rho_lo = 0.5 * (w[unconnected].min() + w[unconnected & (card > 2)].min())
+    assert np.any(unconnected & (w < rho_lo))
+    rho_hi, cand, bounds = get_rho(t, beta, rho_lo, mono, "hdbscan", True, GfkStats())
+    assert rho_hi > rho_lo
+    got = get_pairs(t, rho_lo, rho_hi, cand, bounds, True, GfkStats(), None)
+    expect = np.sort(w[unconnected & (w >= rho_lo) & (w < rho_hi)])
+    assert expect.size
+    assert np.allclose(np.sort(got[:, 2]), expect)
+    assert np.all(w[unconnected & (card > beta)] >= rho_hi - 1e-9)
 
 
 def test_get_rho_infinite_when_no_big_pairs():
     t = _tree(n=50, seed=7)
     mono = mono_labels(t, np.arange(t.n))
-    assert get_rho(t, 10_000, mono, "s2", star=False) == np.inf
+    assert get_rho(t, 10_000, 0.0, mono, "s2", False, GfkStats())[0] == np.inf
 
 
 def test_get_rho_star_uses_core_distance_floor():
@@ -96,7 +127,7 @@ def test_get_rho_star_uses_core_distance_floor():
     cd = np.random.default_rng(9).random(t.n) * 3 + 1.0
     kdt.attach_core_distances(t, cd)
     mono = mono_labels(t, np.arange(t.n))
-    rho = get_rho(t, 2, mono, "s2", star=True)
+    rho = get_rho(t, 2, 0.0, mono, "s2", True, GfkStats())[0]
     for a, b in wspd(t, "s2"):
         a, b = int(a), int(b)
         if t.size(a) + t.size(b) <= 2:
