@@ -1,8 +1,9 @@
 """Shared glue for the spark-submit entrypoints in jobs/.
 
-Each job builds (or reuses) a local SparkSession configured like the
-test fixture in conftest.py: broadcast joins off so shuffle paths are
-exercised, Arrow on for the pandas kernels.
+Each job builds (or reuses) a local SparkSession for the Spark
+fan-outs, which run plain RDD map jobs, so it sets no SQL options.
+``conftest.py`` keeps its shuffle-partition, Arrow and broadcast-join
+settings, because the DuckDB-oracle tests build DataFrames.
 """
 from __future__ import annotations
 
@@ -18,9 +19,6 @@ def get_spark(app: str) -> SparkSession:
 
     return (
         SparkSession.builder.appName(app)
-        .config("spark.sql.shuffle.partitions", "64")
-        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .config("spark.sql.autoBroadcastJoinThreshold", -1)
         .config("spark.driver.host", "127.0.0.1")
         .config("spark.ui.enabled", "false")
         .getOrCreate()

@@ -13,8 +13,12 @@ The BCCP* rows take the batch the MemoGFK rounds hand to
 its largest pair plus random other pairs holding 1/8, 1/4 and 1/2 of
 those cells. Like the k-NN row's, the BCCP* Spark time includes the
 tree broadcast, which every fan-out job makes for itself. The
-dendrogram rows count the band edges the fan-out deals. DESIGN.md
-Section 3 records a run; the break-even constants are set from it.
+dendrogram rows count the band edges the fan-out deals. The fan-out
+rows time ``_fan_out`` itself with a no-op kernel over
+``defaultParallelism`` one-item groups (its work, one task each),
+without a tree (n = 0) and with each size's tree broadcast: the fixed
+cost per job that every break-even must repay. DESIGN.md Section 3
+records a run; the break-even constants are set from it.
 """
 import argparse
 import time
@@ -50,7 +54,8 @@ def main() -> None:
     from repro.geometry.knn import core_distances
 
     spark = get_spark("break-even")
-    print(f"defaultParallelism={spark.sparkContext.defaultParallelism}")
+    cores = spark.sparkContext.defaultParallelism
+    print(f"defaultParallelism={cores}")
     print(f"{'fan-out':<11}{'n':>7}{'work':>13}{'driver_s':>10}{'spark_s':>10}")
 
     def row(fanout: str, n: int, work: int, drv, par) -> None:
@@ -58,6 +63,16 @@ def main() -> None:
         t_par = median_seconds(par, args.repeats)
         print(f"{fanout:<11}{n:>7}{work:>13,}{t_drv:>10.3f}{t_par:>10.3f}", flush=True)
 
+    ones = [[g] for g in range(cores)]
+
+    def noop(*args) -> None:
+        return None
+
+    row(
+        "fan-out", 0, cores,
+        lambda: [noop(g) for g in ones],
+        lambda: distribute._fan_out(spark, ones, noop),
+    )
     batches = []
     record = distribute.SparkBccp.bccp_many
 
@@ -72,6 +87,11 @@ def main() -> None:
     for n in args.sizes:
         pts = sd.geolife_like(n, seed=1)
         tree = kdtree.build(pts)
+        row(
+            "fan-out", n, cores,
+            lambda: [noop(tree, g) for g in ones],
+            lambda: distribute._fan_out(spark, ones, noop, tree),
+        )
         row(
             "k-NN", n, n,
             lambda: core_distances(tree, 10),

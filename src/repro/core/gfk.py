@@ -16,9 +16,9 @@ Round structure (exactly the paper's):
 6. beta *= 2 (doubling => O(log n) rounds; the paper's depth argument).
 
 A ``spark`` session switches the BCCP batch of step 3 from one
-driver-side ``bccp_batch`` call to a Spark ``mapInPandas`` fan-out
-(``repro.engine.distribute.SparkBccp``) — the "48 cores" configuration
-of Tables 2/4/5.
+driver-side ``bccp_batch`` call to a Spark map job over dealt pair
+groups (``repro.engine.distribute.SparkBccp``) — the "48 cores"
+configuration of Tables 2/4/5.
 """
 from __future__ import annotations
 

@@ -1,2 +1,3 @@
-"""Spark execution substrate: broadcast state + mapInPandas fan-out of
-the paper's shared-memory parallel loops (see DESIGN.md §3)."""
+"""Spark execution substrate: the paper's shared-memory parallel loops
+as RDD map jobs over dealt groups, with a per-job tree broadcast (see
+DESIGN.md §3)."""

@@ -6,9 +6,9 @@ bands) maps here onto one Spark job of one stage:
 
 * ``_deal`` deals the work items, heaviest first, round-robin into one
   group per executor core;
-* ``_fan_out`` sends each group pickled in its own row, which Spark
-  makes its own partition, so ``mapInPandas`` runs one task per group,
-  calling the same NumPy kernel the sequential path calls (no shuffle);
+* ``_fan_out`` maps over the groups as an RDD of one partition per
+  group, so one task runs per group, calling the same NumPy kernel the
+  sequential path calls (no shuffle);
   a fan-out that needs the kd-tree (with its reordered points and core
   distances) has ``_fan_out`` broadcast it for that one job, and
   unpersist it when the job ends, whether or not it raised;
@@ -19,14 +19,12 @@ bands) maps here onto one Spark job of one stage:
 Granularity control, as in the paper's parallel loops: each fan-out
 runs on the driver below a break-even amount of work, set from a
 driver-vs-Spark measurement (DESIGN.md, Section 3) because a Spark job
-has a fixed cost of about a third of a second.
+has a fixed cost, about 0.4 s on a 4-vCPU host (the fan-out rows of
+``jobs/break_even.py``).
 """
 from __future__ import annotations
 
-import pickle
-
 import numpy as np
-import pandas as pd
 from pyspark.sql import SparkSession
 
 from ..core.bccp import bccp_batch
@@ -53,32 +51,21 @@ def _deal(weights: np.ndarray, parts: int) -> list[np.ndarray]:
 
 def _fan_out(spark: SparkSession, groups: list, kernel, tree: KDTree | None = None) -> list:
     """``kernel(group)`` for every group, in group order, as one Spark
-    job of one ``mapInPandas`` stage. Each group travels pickled in its
-    own row, and so does its result; Spark cuts a local DataFrame of at
-    most ``defaultParallelism`` rows (as ``_deal`` makes them) into one
-    partition, so one task, per row. A ``tree`` is broadcast for this
-    job only, and unpersisted when it ends, whether or not it raised;
-    the kernel is then called as ``kernel(tree, group)``."""
-    rows = pd.DataFrame(
-        {"g": np.arange(len(groups)), "blob": [pickle.dumps(group) for group in groups]}
-    )
-    bc = None if tree is None else spark.sparkContext.broadcast(tree)
+    job of one map stage: ``parallelize`` makes each group its own
+    partition, so one task runs per group. A ``tree`` is broadcast for
+    this job only, and unpersisted when it ends, whether or not it
+    raised; the kernel is then called as ``kernel(tree, group)``."""
+    sc = spark.sparkContext
+    bc = None if tree is None else sc.broadcast(tree)
 
-    def run(batches):
-        head = () if bc is None else (bc.value,)
-        for pdf in batches:
-            blobs = [pickle.dumps(kernel(*head, pickle.loads(bytes(b)))) for b in pdf["blob"]]
-            yield pd.DataFrame({"g": pdf["g"], "blob": blobs})
+    def run(group):
+        return kernel(group) if bc is None else kernel(bc.value, group)
 
     try:
-        res = spark.createDataFrame(rows).mapInPandas(run, "g long, blob binary").toPandas()
+        return sc.parallelize(groups, len(groups)).map(run).collect()
     finally:
         if bc is not None:
             bc.unpersist()
-    out = [None] * len(groups)
-    for g, blob in zip(res["g"], res["blob"]):
-        out[int(g)] = pickle.loads(bytes(blob))
-    return out
 
 
 def spread_cells(cells: np.ndarray) -> int:

@@ -103,7 +103,7 @@ def test_hdbscan_spark_equals_sequential(spark, forced, midsize, method):
 
 
 def test_spark_bccp_many_matches_local(spark, forced, midsize):
-    """The mapInPandas BCCP kernel must agree with the driver kernel,
+    """The Spark BCCP fan-out must agree with the driver kernel,
     pair by pair, for both metrics."""
     from repro.core import bccp as bccp_mod
     from repro.core.wspd import wspd
